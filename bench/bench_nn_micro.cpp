@@ -7,8 +7,11 @@
 // matmul GFLOP/s at T=1,2,4,8,hw with a bitwise parallel-vs-serial audit
 // (nonzero exit on any byte difference — the determinism contract is a
 // gate, not a hope), written to BENCH_nn_micro.json for the bench_compare
-// regression gate (key=gemm_gflops_tmax). Pass any --benchmark* flag to
-// run the google-benchmark suite instead.
+// regression gate (key=gemm_gflops_tmax). It also times the SIMD kernels
+// of the expert forward on the ISA path the CPU runs (reported as "isa"):
+// GELU forward/backward ns per element and matmul_nt at the compact
+// model's layer shapes with 2048 rows, single-threaded. Pass any
+// --benchmark* flag to run the google-benchmark suite instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "nn/dual_head.hpp"
+#include "nn/layers.hpp"
 #include "nn/parallel.hpp"
 #include "rl/dqn.hpp"
 #include "sim/simulator.hpp"
@@ -180,6 +184,61 @@ double time_gemm_pass(const std::vector<GemmCase>& cases, std::size_t threads, i
   return best;
 }
 
+/// Best-of-reps seconds of fn().
+template <class Fn>
+double best_seconds(int reps, Fn&& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = util::wall_seconds();
+    fn();
+    best = std::min(best, util::wall_seconds() - t0);
+  }
+  return best;
+}
+
+struct KernelTimes {
+  double gelu_forward_ns = 0.0;   ///< per element
+  double gelu_backward_ns = 0.0;  ///< per element
+  struct Shape {
+    std::size_t in, out;
+    double us = 0.0;
+  };
+  std::vector<Shape> matmul_nt{{41, 16}, {16, 16}, {16, 32}, {32, 16}};
+};
+
+/// Time the expert forward's SIMD kernels on the active ISA, one thread.
+KernelTimes time_kernels(int reps) {
+  constexpr std::size_t kRows = 2048;
+  nn::ScopedNumThreads serial(1);
+  util::Rng rng(43);
+  KernelTimes kt;
+  std::vector<float> x(kRows * 32), y(x.size()), g(x.size());
+  for (float& v : x) v = static_cast<float>(rng.normal());
+  for (float& v : g) v = static_cast<float>(rng.normal());
+  constexpr int kInner = 20;
+  const double n = static_cast<double>(x.size()) * kInner;
+  kt.gelu_forward_ns = best_seconds(reps, [&] {
+    for (int i = 0; i < kInner; ++i) nn::gelu_forward(x.data(), y.data(), x.size());
+  }) / n * 1e9;
+  // Each pass scales a fresh copy of the gradient, as GELU::backward does;
+  // scaling one buffer over and over would drift it into denormals.
+  kt.gelu_backward_ns = best_seconds(reps, [&] {
+    for (int i = 0; i < kInner; ++i) {
+      std::copy(g.begin(), g.end(), y.begin());
+      nn::gelu_backward(x.data(), y.data(), y.size());
+    }
+  }) / n * 1e9;
+  for (auto& shape : kt.matmul_nt) {
+    nn::Tensor a(kRows, shape.in), w(shape.out, shape.in), out;
+    for (float& v : a.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : w.flat()) v = static_cast<float>(rng.normal());
+    shape.us = best_seconds(reps, [&] {
+      for (int i = 0; i < kInner; ++i) nn::matmul_nt(a, w, out);
+    }) / kInner * 1e6;
+  }
+  return kt;
+}
+
 /// CI mode: measure matmul GFLOP/s across thread counts, audit that every
 /// thread count reproduces the serial bytes, emit BENCH_nn_micro.json.
 /// Returns the process exit code (nonzero = determinism violation).
@@ -249,6 +308,15 @@ int run_gemm_scaling(int argc, char** argv) {
                  "determinism contract is broken\n");
   }
 
+  const KernelTimes kt = time_kernels(reps);
+  const char* isa = nn::simd::isa_name(nn::simd::active_isa());
+  std::printf("\nexpert-forward kernels (isa=%s, 1 thread, best of %d)\n", isa, reps);
+  std::printf("  GELU forward   %8.2f ns/elem\n", kt.gelu_forward_ns);
+  std::printf("  GELU backward  %8.2f ns/elem\n", kt.gelu_backward_ns);
+  for (const auto& shape : kt.matmul_nt) {
+    std::printf("  matmul_nt 2048x%zu -> %-3zu %8.2f us\n", shape.in, shape.out, shape.us);
+  }
+
   bench::BenchJson json("nn_micro");
   json.add("params",
            "sizes=128,192,256,90x170x310 reps=" + std::to_string(reps) +
@@ -258,6 +326,14 @@ int run_gemm_scaling(int argc, char** argv) {
       .add("gemm_gflops_tmax", gflops_tmax)
       .add("gemm_speedup_tmax", gflops_tmax / gflops_t1)
       .add("bitwise_identical", static_cast<std::int64_t>(bitwise_ok ? 1 : 0))
+      .add("isa", isa)
+      .add("gelu_forward_ns_per_elem", kt.gelu_forward_ns)
+      .add("gelu_backward_ns_per_elem", kt.gelu_backward_ns);
+  for (const auto& shape : kt.matmul_nt) {
+    json.add("matmul_nt_us_2048x" + std::to_string(shape.in) + "_to_" + std::to_string(shape.out),
+             shape.us);
+  }
+  json
       .add_resource_fields()
       .write();
   return bitwise_ok ? 0 : 1;

@@ -22,25 +22,28 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t seq_len, std::size_t 
 Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
   assert(x.cols() == d_model_ && x.rows() % seq_ == 0);
   batch_ = x.rows() / seq_;
-  q_ = wq_.forward(x, train);
-  k_ = wk_.forward(x, train);
-  v_ = wv_.forward(x, train);
+  Tensor q = wq_.forward(x, train);
+  Tensor k = wk_.forward(x, train);
+  Tensor v = wv_.forward(x, train);
 
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  attn_.assign(batch_ * heads_, Tensor());
+  // Training keeps every (item, head) softmax for backward; inference
+  // reuses one score matrix.
+  if (train) attn_.assign(batch_ * heads_, Tensor(seq_, seq_));
+  Tensor scratch(train ? 0 : seq_, train ? 0 : seq_);
   Tensor concat(x.rows(), d_model_);
 
   for (std::size_t b = 0; b < batch_; ++b) {
     const std::size_t base = b * seq_;
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t off = h * d_head_;
+      Tensor& scores = train ? attn_[b * heads_ + h] : scratch;
       // scores[s,t] = <Q[s], K[t]> / sqrt(d_head)
-      Tensor scores(seq_, seq_);
       for (std::size_t s = 0; s < seq_; ++s) {
-        const float* qr = q_.row(base + s) + off;
+        const float* qr = q.row(base + s) + off;
         float* sr = scores.row(s);
         for (std::size_t t = 0; t < seq_; ++t) {
-          const float* kr = k_.row(base + t) + off;
+          const float* kr = k.row(base + t) + off;
           float acc = 0.0f;
           for (std::size_t d = 0; d < d_head_; ++d) acc += qr[d] * kr[d];
           sr[t] = acc * inv_sqrt;
@@ -55,12 +58,16 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
         for (std::size_t t = 0; t < seq_; ++t) {
           const float a = ar[t];
           if (a == 0.0f) continue;
-          const float* vr = v_.row(base + t) + off;
+          const float* vr = v.row(base + t) + off;
           for (std::size_t d = 0; d < d_head_; ++d) out[d] += a * vr[d];
         }
       }
-      attn_[b * heads_ + h] = std::move(scores);
     }
+  }
+  if (train) {
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
   }
   return wo_.forward(concat, train);
 }

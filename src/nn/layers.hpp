@@ -4,8 +4,26 @@
 #include <memory>
 
 #include "nn/module.hpp"
+#include "nn/simd.hpp"
 
 namespace mirage::nn {
+
+// Elementwise kernels behind Tanh and GELU. `isa` pins the lane width
+// (tests and benches run each one); every ISA gives the same bits.
+//
+// tanh is a branch-free, lane-parallel port of fdlibm's tanhf/expm1f (the
+// code glibc shipped up to 2.40), special classes (0, |x| < 2^-55,
+// |x| >= 22, inf, NaN) included, so an element's bits depend neither on
+// its lane position nor on the libm the program links.
+
+/// y[i] = tanh(x[i]).
+void tanh(const float* x, float* y, std::size_t n, simd::Isa isa = simd::active_isa());
+/// y[i] = GELU(x[i]), tanh approximation.
+void gelu_forward(const float* x, float* y, std::size_t n,
+                  simd::Isa isa = simd::active_isa());
+/// grad[i] *= GELU'(x[i]).
+void gelu_backward(const float* x, float* grad, std::size_t n,
+                   simd::Isa isa = simd::active_isa());
 
 /// y = x W^T + b, x: [batch, in], W: [out, in], b: [1, out].
 class Linear : public Module {

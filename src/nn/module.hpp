@@ -28,9 +28,11 @@ struct Parameter {
   void zero_grad() { grad.zero(); }
 };
 
-/// Abstract layer. forward() must be called before backward(); backward()
-/// consumes dL/d(output) and returns dL/d(input), accumulating parameter
-/// gradients (+=) so multiple micro-batches can share one optimizer step.
+/// Abstract layer. forward(x, /*train=*/true) must be called before
+/// backward(); forward(x, false) is inference and caches nothing for a
+/// backward. backward() consumes dL/d(output) and returns dL/d(input),
+/// accumulating parameter gradients (+=) so multiple micro-batches can
+/// share one optimizer step.
 class Module {
  public:
   virtual ~Module() = default;

@@ -1,7 +1,11 @@
+// W=8 kernels pass vectors between always-inlined helpers: see simd.hpp.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "nn/tensor.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "nn/parallel.hpp"
 #include "obs/span.hpp"
@@ -142,42 +146,92 @@ void gemm_nn_tile(const float* __restrict a, const float* __restrict b,
   }
 }
 
-/// Tile kernel for out[i0:i1, j0:j1] += A * B^T (A MxK, B NxK). The j loop
-/// is register-blocked: kBlockJ rows of B are dotted against one A row in
-/// the same sweep (kBlockJ independent accumulation chains, one pass over
-/// the A row per block). Each (i, j) element accumulates its k products in
-/// ascending order into its own private scalar before the single += into
-/// out, so results are bitwise independent of tiling and blocking.
-void gemm_nt_tile(const float* __restrict a, const float* __restrict b,
-                  float* __restrict out, std::size_t k, std::size_t n, std::size_t i0,
-                  std::size_t i1, std::size_t j0, std::size_t j1, bool accumulate) {
-  constexpr std::size_t kBlockJ = 8;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* __restrict arow = a + i * k;
-    float* __restrict orow = out + i * n;
-    if (!accumulate) std::fill(orow + j0, orow + j1, 0.0f);
-    std::size_t j = j0;
-    for (; j + kBlockJ <= j1; j += kBlockJ) {
-      const float* __restrict brows[kBlockJ];
-      float acc[kBlockJ];
-      for (std::size_t jj = 0; jj < kBlockJ; ++jj) {
-        brows[jj] = b + (j + jj) * k;
-        acc[jj] = 0.0f;
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        for (std::size_t jj = 0; jj < kBlockJ; ++jj) acc[jj] += av * brows[jj][p];
-      }
-      for (std::size_t jj = 0; jj < kBlockJ; ++jj) orow[j + jj] += acc[jj];
+/// Tile kernel for out[i0:i1, j0:j1] (+)= A * B^T (A MxK, B NxK), on W
+/// lanes. The tile's B rows are first transposed into a thread-local
+/// scratch (k rows of the tile's columns, zero-padded to whole vectors;
+/// allocation-free once warm), so one vector load yields W columns at one
+/// p. The kernel then holds an R-row x NV-vector block of outputs (up to
+/// 4 x 2) in registers across the whole k loop. Each element keeps the scalar
+/// arithmetic exactly: acc = +0, acc += a[i][p] * b[j][p] for ascending p,
+/// then out = (accumulate ? out : +0) + acc. Results are therefore bitwise
+/// independent of the tiling, the blocking and the lane width.
+struct GemmNtTile {
+  template <int W, int R, int NV>
+  MIRAGE_SIMD_INLINE static void block(const float* __restrict a, const float* __restrict bt,
+                                       float* __restrict out, std::size_t k, std::size_t ldbt,
+                                       std::size_t n, std::size_t cols, bool accumulate) {
+    using F = typename simd::Lanes<W>::F;
+    F acc[R][NV];
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NV; ++v) acc[r][v] = F{};
     }
-    for (; j < j1; ++j) {
-      const float* __restrict brow = b + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += acc;
+    for (std::size_t p = 0; p < k; ++p) {
+      F bv[NV];
+      for (int v = 0; v < NV; ++v) bv[v] = simd::load<F>(bt + p * ldbt + v * W);
+      for (int r = 0; r < R; ++r) {
+        const F av = simd::splat<F>(a[r * k + p]);
+        for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      float* orow = out + r * n;
+      for (int v = 0; v < NV; ++v) {
+        const std::size_t c0 = static_cast<std::size_t>(v) * W;
+        if (c0 + W <= cols) {
+          const F base = accumulate ? simd::load<F>(orow + c0) : F{};
+          simd::store(orow + c0, base + acc[r][v]);
+        } else if (c0 < cols) {  // partial last vector: the valid columns only
+          float part[W] = {};
+          if (accumulate) std::memcpy(part, orow + c0, (cols - c0) * sizeof(float));
+          simd::store(part, simd::load<F>(part) + acc[r][v]);
+          std::memcpy(orow + c0, part, (cols - c0) * sizeof(float));
+        }
+      }
     }
   }
-}
+
+  /// Rows i0..i1 of one column block: 4-row register blocks, then single
+  /// rows.
+  template <int W, int NV>
+  MIRAGE_SIMD_INLINE static void rows(const float* a, const float* bt, float* out,
+                                      std::size_t k, std::size_t ldbt, std::size_t n,
+                                      std::size_t i0, std::size_t i1, std::size_t cols,
+                                      bool accumulate) {
+    std::size_t i = i0;
+    for (; i + 4 <= i1; i += 4) {
+      block<W, 4, NV>(a + i * k, bt, out + i * n, k, ldbt, n, cols, accumulate);
+    }
+    for (; i < i1; ++i) block<W, 1, NV>(a + i * k, bt, out + i * n, k, ldbt, n, cols, accumulate);
+  }
+
+  template <int W>
+  MIRAGE_SIMD_INLINE static void run(const float* a, const float* b, float* out, std::size_t k,
+                                     std::size_t n, std::size_t i0, std::size_t i1,
+                                     std::size_t j0, std::size_t j1, bool accumulate) {
+    const std::size_t jn = j1 - j0;
+    const std::size_t ldbt = (jn + W - 1) / W * W;
+    // Never empty, so the pointer arithmetic below never starts from null.
+    thread_local std::vector<float> scratch(4096);
+    if (scratch.size() < k * ldbt) scratch.resize(k * ldbt);
+    float* __restrict bt = scratch.data();
+    for (std::size_t p = 0; p < k; ++p) {
+      float* row = bt + p * ldbt;
+      for (std::size_t j = 0; j < jn; ++j) row[j] = b[(j0 + j) * k + p];
+      std::fill(row + jn, row + ldbt, 0.0f);
+    }
+    // Column blocks of 2 vectors; a last block of one vector when that is
+    // all that is left.
+    for (std::size_t jb = 0; jb < jn; jb += 2 * W) {
+      const std::size_t cols = std::min<std::size_t>(2 * W, jn - jb);
+      float* o = out + j0 + jb;
+      if (cols > W) {
+        rows<W, 2>(a, bt + jb, o, k, ldbt, n, i0, i1, cols, accumulate);
+      } else {
+        rows<W, 1>(a, bt + jb, o, k, ldbt, n, i0, i1, cols, accumulate);
+      }
+    }
+  }
+};
 
 /// Tile kernel for out[i0:i1, j0:j1] += A^T * B (A KxM, B KxN). k stays the
 /// OUTER loop (one pass over A and B rows feeds every tile row), so each
@@ -272,7 +326,7 @@ void matmul_tn(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
                  });
 }
 
-void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
+void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate, simd::Isa isa) {
   // out[MxN] = A * B^T where A is [MxK], B is [NxK].
   OBS_SPAN_SAMPLED("nn_gemm", 4);
   assert(a.cols() == b.cols());
@@ -286,7 +340,8 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
   float* po = out.data();
   dispatch_tiles(m, n, m * k * n,
                  [=](std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1) {
-                   gemm_nt_tile(pa, pb, po, k, n, i0, i1, j0, j1, accumulate);
+                   simd::dispatch<GemmNtTile>(isa, pa, pb, po, k, n, i0, i1, j0, j1,
+                                              accumulate);
                  });
 }
 

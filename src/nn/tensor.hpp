@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "nn/simd.hpp"
+
 namespace mirage::nn {
 
 class Tensor {
@@ -67,9 +69,12 @@ class Tensor {
 //   matmul      : out[MxN] = A[MxK] * B[KxN]
 //   matmul_tn   : out[MxN] = A^T[KxM]^T... i.e. A[KxM] treated transposed
 //   matmul_nt   : out[MxN] = A[MxK] * B^T (B is [NxK])
+// matmul_nt runs a SIMD kernel; `isa` pins its lane width (tests and
+// benches run each one), and every ISA gives the same bits.
 void matmul(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = false);
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = false);
-void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = false);
+void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = false,
+               simd::Isa isa = simd::active_isa());
 
 /// Add a 1×C bias row to every row of x (in place).
 void add_bias_rows(Tensor& x, const Tensor& bias);

@@ -311,7 +311,10 @@ std::string MetricsRegistry::to_prometheus() const {
           }
           out << '\n';
         }
-        out << e.name << "_count " << e.histogram->count() << '\n';
+        // _count is the +Inf bucket's cumulative total, read in the same
+        // pass: count() would read other counters, and a record() landing
+        // between the two reads would tear the scrape.
+        out << e.name << "_count " << cumulative << '\n';
         out << e.name << "_sum " << util::format_double_exact(e.histogram->sum()) << '\n';
         break;
       }

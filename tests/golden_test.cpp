@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "nn/tensor.hpp"
+#include "rl/dqn.hpp"
+#include "rl/state_encoder.hpp"
 #include "sim/simulator.hpp"
 #include "trace/cluster_presets.hpp"
 #include "trace/generator.hpp"
@@ -110,6 +115,89 @@ INSTANTIATE_TEST_SUITE_P(Presets, GoldenTrace, ::testing::ValuesIn(kGolden),
                          [](const ::testing::TestParamInfo<Golden>& info) {
                            return std::string(info.param.cluster);
                          });
+
+// ------------------------------------------------------------- NN golden
+//
+// The bits of a compact MoE+DQN model's serving output and of its
+// parameters after a few pre-training steps. Every NN kernel (GEMM tiles,
+// GELU/tanh, LayerNorm, attention, Adam) feeds these hashes, so a kernel
+// rewrite that changes any element's rounding flips them. They were
+// computed before the SIMD kernels landed and must never be updated for a
+// pure optimisation.
+
+/// The compact pipeline's network (core::PipelineConfig::compact on a
+/// single-partition preset), spelled out so this test pins the numbers,
+/// not that function.
+rl::DqnConfig compact_moe_dqn() {
+  rl::DqnConfig dc;
+  dc.foundation = nn::FoundationType::kMoE;
+  dc.net.history_len = 16;
+  dc.net.state_dim = rl::frame_dim(1);
+  dc.net.d_model = 16;
+  dc.net.num_heads = 2;
+  dc.net.num_layers = 1;
+  dc.net.ffn_hidden = 32;
+  dc.net.moe_experts = 3;
+  return dc;
+}
+
+std::uint64_t float_bits_hash(std::uint64_t h, const float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v[i], sizeof bits);
+    h = fnv1a64(h, bits);
+  }
+  return h;
+}
+
+/// Observations drawn from N(0, 1), with every 7th value zeroed so the
+/// GEMM zero-skip paths are part of the pinned surface.
+std::vector<float> golden_observation(util::Rng& rng, std::size_t dim) {
+  std::vector<float> obs(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    obs[i] = i % 7 == 0 ? 0.0f : static_cast<float>(rng.normal());
+  }
+  return obs;
+}
+
+constexpr std::uint64_t kGoldenInferQ = 6263073847524409099ull;
+constexpr std::uint64_t kGoldenPretrainParams = 12156976214635401793ull;
+
+TEST(GoldenNN, CompactMoeDqnInferQMatchesCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  rl::DqnAgent agent(compact_moe_dqn(), 2024);
+  const std::size_t dim = agent.config().net.input_dim();
+  util::Rng rng(77);
+  nn::Tensor x(37, dim);  // ragged batch: not a multiple of any lane width
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const auto obs = golden_observation(rng, dim);
+    std::copy(obs.begin(), obs.end(), x.row(r));
+  }
+  const nn::Tensor q = agent.model().infer_q(x);
+  EXPECT_EQ(float_bits_hash(kFnv1a64Basis, q.data(), q.size()), kGoldenInferQ)
+      << "MoE+DQN serving output bits changed";
+}
+
+TEST(GoldenNN, CompactMoeDqnPretrainParamsMatchCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  rl::DqnAgent agent(compact_moe_dqn(), 2025);
+  const std::size_t dim = agent.config().net.input_dim();
+  util::Rng rng(78);
+  std::vector<rl::Experience> samples(32);
+  for (auto& e : samples) {
+    e.observation = golden_observation(rng, dim);
+    e.action = rng.uniform() < 0.5 ? 1 : 0;
+    e.reward = static_cast<float>(rng.normal(0.0, 4.0));
+  }
+  std::vector<const rl::Experience*> batch;
+  for (const auto& e : samples) batch.push_back(&e);
+  for (int step = 0; step < 4; ++step) agent.pretrain_batch(batch);
+  std::uint64_t h = kFnv1a64Basis;
+  for (const nn::Parameter* p : agent.model().parameters()) {
+    h = float_bits_hash(h, p->value.data(), p->value.size());
+  }
+  EXPECT_EQ(h, kGoldenPretrainParams) << "parameter bits after pre-training changed";
+}
 
 }  // namespace
 }  // namespace mirage

@@ -3,8 +3,13 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/parallel.hpp"
@@ -244,6 +249,374 @@ TEST(ParallelGemm, ThreadCountKnobResolution) {
   }
   set_num_threads(0);  // restore: 0 = hardware_concurrency
   EXPECT_GE(num_threads(), 1u);
+}
+
+// ----------------------------------------------------------- SIMD kernels
+//
+// The tanh/GELU and matmul_nt kernels promise the same bits at every lane
+// width. Each test runs every ISA the CPU has (AVX2 only where present)
+// against a scalar reference and compares raw bits.
+
+std::vector<simd::Isa> runnable_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::kBaseline};
+  if (simd::cpu_supports(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
+  return isas;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+float float_of(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+// glibc up to 2.40 ships fdlibm's tanhf (later releases ship a correctly
+// rounded one), so there std::tanh must agree with the port bit for bit.
+#if defined(__x86_64__) && defined(__GLIBC__) && \
+    (__GLIBC__ == 2 && __GLIBC_MINOR__ <= 40)
+constexpr bool kLibmIsFdlibm = true;
+#else
+constexpr bool kLibmIsFdlibm = false;
+#endif
+
+/// Scalar oracle: fdlibm's expm1f, transcribed branch for branch.
+float fdlibm_expm1f(float x) {
+  const float one = 1.0f, huge = 1.0e+30f, tiny = 1.0e-30f;
+  const float o_threshold = 8.8721679688e+01f, ln2_hi = 6.9313812256e-01f,
+              ln2_lo = 9.0580006145e-06f, invln2 = 1.4426950216e+00f;
+  const float Q1 = -3.3333335072e-02f, Q2 = 1.5873016091e-03f, Q3 = -7.9365076090e-05f,
+              Q4 = 4.0082177293e-06f, Q5 = -2.0109921195e-07f;
+  float y, hi, lo, c = 0.0f, t, e, hxs, hfx, r1;
+  std::int32_t k;
+  std::uint32_t hx = bits_of(x);
+  const std::uint32_t xsb = hx & 0x80000000u;
+  hx &= 0x7fffffff;
+  if (hx >= 0x4195b844) {  // |x| >= 27 ln2
+    if (hx >= 0x42b17218) {
+      if (hx > 0x7f800000) return x + x;  // NaN
+      if (hx == 0x7f800000) return xsb == 0 ? x : -1.0f;
+      if (x > o_threshold) return huge * huge;
+    }
+    if (xsb != 0) return tiny - one;
+  }
+  if (hx > 0x3eb17218) {    // |x| > 0.5 ln2
+    if (hx < 0x3F851592) {  // and |x| < 1.5 ln2
+      if (xsb == 0) {
+        hi = x - ln2_hi;
+        lo = ln2_lo;
+        k = 1;
+      } else {
+        hi = x + ln2_hi;
+        lo = -ln2_lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(invln2 * x + (xsb == 0 ? 0.5f : -0.5f));
+      t = static_cast<float>(k);
+      hi = x - t * ln2_hi;
+      lo = t * ln2_lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000) {  // |x| < 2^-25
+    t = huge + x;
+    return x - (t - (huge + x));
+  } else {
+    k = 0;
+  }
+  hfx = 0.5f * x;
+  hxs = x * hfx;
+  r1 = one + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+  t = 3.0f - r1 * hfx;
+  e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return one + 2.0f * (x - e);
+  }
+  if (k <= -2 || k > 56) {
+    y = one - (e - x);
+    y = k == 128 ? y * 2.0f * 0x1p127f : float_of(bits_of(y) + (static_cast<std::uint32_t>(k) << 23));
+    return y - one;
+  }
+  if (k < 23) {
+    t = float_of(0x3f800000 - (0x1000000 >> k));  // 1 - 2^-k
+    y = t - (e - x);
+  } else {
+    t = float_of(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+    y = x - (e + t);
+    y += one;
+  }
+  return float_of(bits_of(y) + (static_cast<std::uint32_t>(k) << 23));
+}
+
+/// Scalar oracle: fdlibm's tanhf.
+float fdlibm_tanhf(float x) {
+  const float one = 1.0f, two = 2.0f, tiny = 1.0e-30f;
+  const std::uint32_t jx = bits_of(x);
+  const std::uint32_t ix = jx & 0x7fffffff;
+  const bool pos = (jx & 0x80000000u) == 0;
+  if (ix >= 0x7f800000) return pos ? one / x + one : one / x - one;  // inf, NaN
+  float z;
+  if (ix < 0x41b00000) {            // |x| < 22
+    if (ix == 0) return x;          // +-0
+    if (ix < 0x24000000) return x * (one + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000) {         // |x| >= 1
+      const float t = fdlibm_expm1f(two * std::fabs(x));
+      z = one - two / (t + two);
+    } else {
+      const float t = fdlibm_expm1f(-two * std::fabs(x));
+      z = -t / (t + two);
+    }
+  } else {
+    z = one - tiny;  // |x| >= 22: +-1
+  }
+  return pos ? z : -z;
+}
+
+/// Runs nn::tanh at `isa` over `xs` and counts elements whose bits differ
+/// from the oracle (and from std::tanh where libm is fdlibm); reports the
+/// first few.
+std::size_t tanh_mismatches(const std::vector<float>& xs, simd::Isa isa) {
+  std::vector<float> ys(xs.size());
+  nn::tanh(xs.data(), ys.data(), xs.size(), isa);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t got = bits_of(ys[i]);
+    const bool ok = got == bits_of(fdlibm_tanhf(xs[i])) &&
+                    (!kLibmIsFdlibm || got == bits_of(std::tanh(xs[i])));
+    if (!ok && ++bad <= 5) {
+      ADD_FAILURE() << simd::isa_name(isa) << ": tanh(0x" << std::hex << bits_of(xs[i])
+                    << ") = 0x" << got << ", oracle 0x" << bits_of(fdlibm_tanhf(xs[i]));
+    }
+  }
+  return bad;
+}
+
+/// Every branch boundary of tanhf and of the expm1f calls it makes, as
+/// float bit patterns of x: the tanh thresholds, the expm1 thresholds on
+/// |u| = 2|x|, and each k step of expm1's argument reduction.
+std::vector<std::uint32_t> tanh_branch_boundaries() {
+  std::vector<std::uint32_t> b = {0x00000000, 0x00000001, 0x00800000, 0x24000000,
+                                  0x3f800000, 0x41b00000, 0x7f7fffff, 0x7f800000,
+                                  0x7f800001, 0x7fc00000, 0x7fffffff};
+  for (const std::uint32_t u : {0x33000000u, 0x3eb17218u, 0x3F851592u}) {
+    b.push_back(bits_of(float_of(u) * 0.5f));
+  }
+  for (int k = -4; k <= 64; ++k) {  // kf = u/ln2 +- 0.5 crosses an integer
+    b.push_back(bits_of(std::fabs((static_cast<float>(k) - 0.5f) * 0.6931472f) * 0.5f));
+  }
+  return b;
+}
+
+TEST(SimdKernels, ActiveIsaIsTheWidestSupported) {
+  const simd::Isa want =
+      simd::cpu_supports(simd::Isa::kAvx2) ? simd::Isa::kAvx2 : simd::Isa::kBaseline;
+  EXPECT_EQ(simd::active_isa(), want);
+  EXPECT_STRNE(simd::isa_name(simd::Isa::kBaseline), simd::isa_name(simd::Isa::kAvx2));
+}
+
+TEST(SimdKernels, TanhMatchesFdlibmOnAStridedSweep) {
+  // An odd stride over all 2^32 bit patterns: >= 2^26 inputs covering
+  // every exponent, both signs, NaN payloads and denormals.
+  constexpr std::uint64_t kStride = 63;
+  std::vector<float> xs;
+  xs.reserve((std::uint64_t{1} << 32) / kStride + 1);
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += kStride) {
+    xs.push_back(float_of(static_cast<std::uint32_t>(u)));
+  }
+  ASSERT_GE(xs.size(), std::size_t{1} << 26);
+  for (const simd::Isa isa : runnable_isas()) {
+    EXPECT_EQ(tanh_mismatches(xs, isa), 0u) << simd::isa_name(isa);
+  }
+}
+
+TEST(SimdKernels, TanhMatchesFdlibmAtEveryBranchBoundary) {
+  // +-64 ulps around each boundary (a superset of +-2: the k steps are
+  // located only approximately), both signs, with odd lengths so every
+  // lane position and the padded tail are hit.
+  std::vector<float> xs;
+  for (const std::uint32_t b : tanh_branch_boundaries()) {
+    for (std::int64_t d = -64; d <= 64; ++d) {
+      const std::int64_t u = static_cast<std::int64_t>(b) + d;
+      if (u < 0 || u > 0x7fffffff) continue;
+      xs.push_back(float_of(static_cast<std::uint32_t>(u)));
+      xs.push_back(float_of(static_cast<std::uint32_t>(u) | 0x80000000u));
+    }
+  }
+  xs.push_back(1.0f);  // odd total length
+  for (const simd::Isa isa : runnable_isas()) {
+    EXPECT_EQ(tanh_mismatches(xs, isa), 0u) << simd::isa_name(isa);
+    for (std::size_t n = 0; n <= 9; ++n) {  // every tail length
+      EXPECT_EQ(tanh_mismatches(std::vector<float>(xs.end() - n, xs.end()), isa), 0u);
+    }
+  }
+}
+
+TEST(SimdKernels, DISABLED_TanhMatchesFdlibmOnAllFloats) {
+  // The exhaustive sweep (all 2^32 inputs, ~1 min on 4 cores), run by CI
+  // with --gtest_also_run_disabled_tests; too slow for tier-1.
+  const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  for (const simd::Isa isa : runnable_isas()) {
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::size_t> bad{0};
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < threads; ++w) {
+      pool.emplace_back([&] {
+        std::vector<float> xs(kChunk), ys(kChunk);
+        for (std::uint64_t c; (c = next.fetch_add(kChunk)) < (std::uint64_t{1} << 32);) {
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            xs[i] = float_of(static_cast<std::uint32_t>(c + i));
+          }
+          nn::tanh(xs.data(), ys.data(), kChunk, isa);
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            const std::uint32_t got = bits_of(ys[i]);
+            if (got != bits_of(fdlibm_tanhf(xs[i])) ||
+                (kLibmIsFdlibm && got != bits_of(std::tanh(xs[i])))) {
+              bad.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
+    EXPECT_EQ(bad.load(), 0u) << simd::isa_name(isa);
+  }
+}
+
+/// The scalar GELU formulas the kernels replaced, over a given tanh.
+template <class Tanh>
+float gelu_reference(float x, Tanh tanh_fn) {
+  const float inner = 0.7978845608f * (x + 0.044715f * x * x * x);
+  return 0.5f * x * (1.0f + tanh_fn(inner));
+}
+
+template <class Tanh>
+float gelu_grad_reference(float x, Tanh tanh_fn) {
+  const float x3 = x * x * x;
+  const float inner = 0.7978845608f * (x + 0.044715f * x3);
+  const float t = tanh_fn(inner);
+  const float sech2 = 1.0f - t * t;
+  return 0.5f * (1.0f + t) +
+         0.5f * x * sech2 * 0.7978845608f * (1.0f + 3.0f * 0.044715f * x * x);
+}
+
+TEST(SimdKernels, GeluForwardAndBackwardMatchScalarFormulasBitwise) {
+  // Dense around the activation's working range, a strided sweep of all
+  // magnitudes, and the special values.
+  std::vector<float> xs;
+  Rng rng(5);
+  for (int i = 0; i < 200000; ++i) xs.push_back(static_cast<float>(rng.normal(0.0, 3.0)));
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    xs.push_back(float_of(static_cast<std::uint32_t>(u)));
+  }
+  for (const float v : {0.0f, -0.0f, 1e-40f, -1e-40f, 22.0f, -22.0f, 1e30f, -1e30f,
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    xs.push_back(v);
+  }
+  std::vector<float> grad(xs.size());
+  for (float& g : grad) g = static_cast<float>(rng.normal());
+
+  const auto oracle = [](float v) { return fdlibm_tanhf(v); };
+  const auto libm = [](float v) { return std::tanh(v); };
+  for (const simd::Isa isa : runnable_isas()) {
+    std::vector<float> y(xs.size());
+    std::vector<float> dx = grad;
+    gelu_forward(xs.data(), y.data(), xs.size(), isa);
+    gelu_backward(xs.data(), dx.data(), xs.size(), isa);
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const float want_y = gelu_reference(xs[i], oracle);
+      const float want_dx = grad[i] * gelu_grad_reference(xs[i], oracle);
+      bool ok = bits_of(y[i]) == bits_of(want_y) && bits_of(dx[i]) == bits_of(want_dx);
+      if (kLibmIsFdlibm) {
+        ok = ok && bits_of(want_y) == bits_of(gelu_reference(xs[i], libm)) &&
+             bits_of(want_dx) == bits_of(grad[i] * gelu_grad_reference(xs[i], libm));
+      }
+      if (!ok && ++bad <= 5) {
+        ADD_FAILURE() << simd::isa_name(isa) << ": GELU at x=" << xs[i] << " (0x" << std::hex
+                      << bits_of(xs[i]) << ")";
+      }
+    }
+    EXPECT_EQ(bad, 0u) << simd::isa_name(isa);
+  }
+}
+
+/// Naive A * B^T: per element acc = +0, acc += a*b for ascending p, then
+/// out = (accumulate ? out : +0) + acc.
+void naive_matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
+      out.at(i, j) = (accumulate ? out.at(i, j) : 0.0f) + acc;
+    }
+  }
+}
+
+/// Normal values mixed with +-0 and denormals.
+Tensor gemm_operand(std::size_t rows, std::size_t cols, Rng& rng) {
+  Tensor t(rows, cols);
+  for (float& v : t.flat()) {
+    const double u = rng.uniform();
+    v = u < 0.1    ? 0.0f
+        : u < 0.2  ? -0.0f
+        : u < 0.3  ? static_cast<float>(rng.normal()) * 1e-39f
+                   : static_cast<float>(rng.normal());
+  }
+  return t;
+}
+
+TEST(SimdKernels, MatmulNtMatchesNaiveAscendingKLoopBitwise) {
+  // n and k straddle both lane widths (4, 8) and the 2-vector column
+  // blocks; m straddles the 4-row register block.
+  Rng rng(9);
+  for (const std::size_t m : {1, 3, 4, 5, 9, 64}) {
+    for (const std::size_t k : {0, 1, 3, 7, 13, 16, 41}) {
+      for (const std::size_t n : {1, 3, 5, 8, 9, 16, 17, 33}) {
+        const Tensor a = gemm_operand(m, k, rng);
+        const Tensor b = gemm_operand(n, k, rng);
+        const Tensor base = gemm_operand(m, n, rng);
+        for (const bool accumulate : {false, true}) {
+          Tensor want = accumulate ? base : Tensor(m, n);
+          naive_matmul_nt(a, b, want, accumulate);
+          for (const simd::Isa isa : runnable_isas()) {
+            Tensor got = accumulate ? base : Tensor(m, n, 7.0f);
+            matmul_nt(a, b, got, accumulate, isa);
+            expect_bitwise_equal(got, want, simd::isa_name(isa));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MatmulNtIsaPathsAgreeOnTheParallelTileGrid) {
+  // Above the serial cutoff, so the tile grid splits rows and columns.
+  Rng rng(10);
+  const Tensor a = gemm_operand(70, 90, rng);
+  const Tensor b = gemm_operand(300, 90, rng);
+  Tensor want(70, 300);
+  naive_matmul_nt(a, b, want, false);
+  for (const std::size_t threads : {1, 3}) {
+    ScopedNumThreads scope(threads);
+    for (const simd::Isa isa : runnable_isas()) {
+      Tensor got;
+      matmul_nt(a, b, got, false, isa);
+      expect_bitwise_equal(got, want, simd::isa_name(isa));
+    }
+  }
 }
 
 // -------------------------------------------------------- Gradient checks

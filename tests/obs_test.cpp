@@ -3,6 +3,7 @@
 // tracing-cannot-perturb-results contract on the sweep harness.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -188,6 +189,34 @@ TEST(Metrics, LintAcceptsRegistryExposition) {
   const std::string text = reg.to_prometheus();
   EXPECT_TRUE(lint_prometheus_exposition(text, &error)) << error << "\n" << text;
   EXPECT_NE(text.find("trace_id=\"1234\""), std::string::npos) << text;
+}
+
+TEST(Metrics, ScrapesTakenDuringRecordsAlwaysLint) {
+  // A scrape runs concurrently with record() on live traffic. Each one
+  // must be self-consistent: the +Inf bucket equals _count.
+  MetricsRegistry reg;
+  Histogram* h = reg.histogram("torn_latency_seconds", "latency under load");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 3; ++t) {
+    recorders.emplace_back([&, t] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        h->record(1e-6 * static_cast<double>((i * 7 + t) % 5000));
+      }
+    });
+  }
+  int failures = 0;
+  std::string first_error;
+  for (int scrape = 0; scrape < 2000; ++scrape) {
+    std::string error;
+    if (!lint_prometheus_exposition(reg.to_prometheus(), &error)) {
+      if (failures++ == 0) first_error = error;
+    }
+  }
+  stop = true;
+  for (auto& t : recorders) t.join();
+  EXPECT_EQ(failures, 0) << first_error;
+  EXPECT_GT(h->count(), 0u);
 }
 
 TEST(Metrics, LintAcceptsHandwrittenSummaryAndExemplars) {
