@@ -7,12 +7,13 @@
 //   2. zero-alloc— closed-loop blocking decides over a hot session set,
 //                  audited by the counting allocator: the steady-state
 //                  decide path must perform ZERO heap allocations
-//                  (observation buffers, ring slots and latency reservoir
+//                  (observation buffers, ring slots and completion tokens
 //                  are all preallocated / circulating). This is the gated
 //                  decisions_per_sec measurement;
-//   3. latency   — a paced async phase feeds the latency reservoir, then
-//                  p50/p99/p99.9 come from the engine snapshot with the
-//                  p99 bounded by `p99_limit_ms`;
+//   3. latency   — a paced async phase adds to the decision-latency
+//                  histogram, then p50/p99/p99.9 come from its snapshot
+//                  (every decision of phases 2-3) with the p99 bounded by
+//                  `p99_limit_ms`;
 //   4. TTL       — the cold sessions (everything outside the hot set) sit
 //                  idle past `ttl` and must be reaped by the lazy check +
 //                  one-shard-per-tick background sweeper (+ a final
@@ -50,7 +51,7 @@
 //                  enter the failed state.
 //
 // The service is measured around an allocation-free stub model so the
-// audit isolates the serving layers (shards, engine ring, waiter pool)
+// audit isolates the serving layers (shards, engine ring, token pool)
 // from NN-forward internals; bench_serve_throughput covers the real
 // model. Emits BENCH_serve_soak.json (decisions_per_sec is the
 // bench_compare-gated key).
@@ -62,7 +63,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
   // ---- phase 2: zero-alloc closed-loop steady state + tracing overhead ---
   // Warmup grows every thread_local buffer, ring-slot capacity and the
-  // latency reservoir to steady size; then the measured window must not
+  // completion-token pool to steady size; then the measured window must not
   // allocate at all. The phase runs in alternating tracing-off/tracing-on
   // reps (obs::set_enabled gates journey events, spans and exemplars);
   // the 3% overhead gate compares best-of each mode and the allocation
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
         // first circulates back to a caller, so the audited window only
         // starts after each of the max_queue slots has carried at least
         // one request. Fresh client threads each rep also need their
-        // thread_local observation buffers and waiter slots grown.
+        // thread_local observation buffers grown.
         const std::size_t warm = cfg.engine.max_queue / clients + 1024;
         const std::size_t pool = std::min(hot, sids.size());
         for (std::size_t i = 0; i < warm; ++i) {
@@ -279,25 +279,29 @@ int main(int argc, char** argv) {
 
   // ---- phase 3: paced async latency --------------------------------------
   const std::size_t burst = std::max<std::size_t>(1, qps / 1000);
-  std::vector<std::future<serve::Decision>> in_flight;
+  std::vector<serve::AsyncDecision> in_flight;
   in_flight.reserve(2048);
   std::size_t paced = 0;
   const double pace_end = util::wall_seconds() + qps_seconds;
   while (util::wall_seconds() < pace_end) {
     for (std::size_t b = 0; b < burst; ++b) {
-      in_flight.push_back(service.decide_async(ids[paced++ % hot]));
+      in_flight.push_back(service.decide_async_pooled(ids[paced++ % hot]));
     }
     if (in_flight.size() >= 1024) {
-      for (auto& f : in_flight) f.get();
+      for (auto& handle : in_flight) handle.get();
       in_flight.clear();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (auto& f : in_flight) f.get();
-  auto report = service.report();
-  std::printf("latency     p50 %.3f ms  p99 %.3f ms  p99.9 %.3f ms  (%zu samples, %zu paced)\n",
-              report.engine.latency.p50_ms, report.engine.latency.p99_ms,
-              report.engine.latency.p999_ms, report.engine.latency.count, paced);
+  for (auto& handle : in_flight) handle.get();
+  // This service is the process's first engine, so the histogram holds
+  // exactly the steady and paced decisions.
+  const obs::Histogram::Snapshot latency = serve::decision_latency_histogram().snapshot();
+  const double p50_ms = latency.percentile(50.0) * 1e3;
+  const double p99_ms = latency.percentile(99.0) * 1e3;
+  const double p999_ms = latency.percentile(99.9) * 1e3;
+  std::printf("latency     p50 %.3f ms  p99 %.3f ms  p99.9 %.3f ms  (%llu samples, %zu paced)\n",
+              p50_ms, p99_ms, p999_ms, static_cast<unsigned long long>(latency.count), paced);
 
   // ---- phase 4: TTL eviction of the cold fleet ---------------------------
   // Cold sessions were last touched when opened; once the TTL has passed,
@@ -314,7 +318,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     service.evict_expired();
   }
-  report = service.report();
+  const auto report = service.report();
   std::printf("ttl         %llu evictions, %zu sessions remain\n",
               static_cast<unsigned long long>(report.evictions), report.open_sessions);
   service.drain_and_stop();
@@ -326,7 +330,7 @@ int main(int argc, char** argv) {
 
   // ---- phase 4b: pooled-token async audit ---------------------------------
   // decide_async_pooled recycles completion tokens from a pool instead of
-  // allocating a promise/future pair per request. A windowed loop keeps
+  // allocating completion state per request. A windowed loop keeps
   // kPooledWindow handles in flight; after the warmup has grown the pool
   // to window depth, the audited window must not allocate at all — the
   // same tokens circulate for every request.
@@ -436,19 +440,17 @@ int main(int argc, char** argv) {
   bp_service.start();
   const auto bp_id = bp_service.open_session();
   bp_service.observe(bp_id, soak_sample(0), ctx);
-  std::vector<std::future<serve::Decision>> bp_futures;
+  std::vector<serve::AsyncDecision> bp_handles;
   const auto bp_burst = static_cast<std::size_t>(cli.get_int("bp_burst", 64));
-  for (std::size_t i = 0; i < bp_burst; ++i) {
-    bp_futures.push_back(bp_service.decide_async(bp_id));
-  }
   std::size_t bp_rejected = 0;
-  for (auto& f : bp_futures) {
+  for (std::size_t i = 0; i < bp_burst; ++i) {
     try {
-      f.get();
+      bp_handles.push_back(bp_service.decide_async_pooled(bp_id));
     } catch (const serve::BackpressureRejected&) {
       ++bp_rejected;
     }
   }
+  for (auto& handle : bp_handles) handle.get();
   bp_service.drain_and_stop();
   const auto bp_report = bp_service.report();
   std::printf("backpressure %zu of %zu burst requests rejected (engine counted %llu)\n\n",
@@ -543,7 +545,7 @@ int main(int argc, char** argv) {
        "zero steady-state heap allocations with session journaling on");
   gate(journal_overhead_pct <= 5.0, "session journaling overhead within 5% at sync=none");
   gate(!journal_failed, "session journal stayed healthy through the soak");
-  gate(report.engine.latency.p99_ms <= p99_limit_ms, "p99 latency within bound");
+  gate(p99_ms <= p99_limit_ms, "p99 latency within bound");
   gate(report.evictions >= sessions - hot, "TTL reaped the cold fleet");
   gate(bp_rejected > 0 && bp_report.engine.rejected >= bp_rejected,
        "bounded queue rejected the burst with backpressure");
@@ -570,9 +572,9 @@ int main(int argc, char** argv) {
       .add("journal_allocs", static_cast<std::int64_t>(journal_allocs))
       .add("slo_fires", static_cast<std::int64_t>(slo_fires))
       .add("bundle_valid", static_cast<std::int64_t>(bundle_valid ? 1 : 0))
-      .add("latency_p50_ms", report.engine.latency.p50_ms)
-      .add("latency_p99_ms", report.engine.latency.p99_ms)
-      .add("latency_p999_ms", report.engine.latency.p999_ms)
+      .add("latency_p50_ms", p50_ms)
+      .add("latency_p99_ms", p99_ms)
+      .add("latency_p999_ms", p999_ms)
       .add("evictions", static_cast<std::int64_t>(report.evictions))
       .add("rejected", static_cast<std::int64_t>(bp_report.engine.rejected))
       .add("target_met", static_cast<std::int64_t>(ok ? 1 : 0));

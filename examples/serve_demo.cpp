@@ -39,7 +39,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <set>
 
 #include "core/checkpoint.hpp"
@@ -141,19 +140,19 @@ int main(int argc, char** argv) {
     const auto sample = sim.sample();
 
     // Each session provisions its own successor job (varied shape/age).
-    std::vector<std::future<serve::Decision>> futures;
-    futures.reserve(sessions);
+    std::vector<serve::AsyncDecision> pending;
+    pending.reserve(sessions);
     for (std::size_t s = 0; s < sessions; ++s) {
       rl::JobPairContext ctx;
       ctx.pred_nodes = 1 + static_cast<std::int32_t>(s % 4);
       ctx.pred_elapsed = static_cast<util::SimTime>((s * 3 + r) % 40) * util::kHour;
       ctx.succ_nodes = ctx.pred_nodes;
       service.observe(ids[s], sample, ctx);
-      futures.push_back(service.decide_async(ids[s]));
+      pending.push_back(service.decide_async_pooled(ids[s]));
     }
     std::size_t round_submits = 0;
-    for (auto& f : futures) {
-      const auto d = f.get();
+    for (auto& handle : pending) {
+      const auto d = handle.get();
       round_submits += (d.action == 1);
       versions_seen.insert(d.model_version);
     }
@@ -190,10 +189,12 @@ int main(int argc, char** argv) {
   std::printf("throughput          %.0f decisions/s sustained, %llu ticks, mean batch %.1f\n",
               report.decisions_per_second,
               static_cast<unsigned long long>(report.engine.ticks), report.engine.mean_batch);
-  std::printf("request latency     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  p99.9 %.2f ms  max %.2f ms\n",
-              report.engine.latency.p50_ms, report.engine.latency.p95_ms,
-              report.engine.latency.p99_ms, report.engine.latency.p999_ms,
-              report.engine.latency.max_ms);
+  // Every decision so far came from this service's engine.
+  const obs::Histogram::Snapshot latency = serve::decision_latency_histogram().snapshot();
+  std::printf("request latency     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  p99.9 %.2f ms  mean %.2f ms\n",
+              latency.percentile(50.0) * 1e3, latency.percentile(95.0) * 1e3,
+              latency.percentile(99.0) * 1e3, latency.percentile(99.9) * 1e3,
+              latency.mean() * 1e3);
 
   if (svc_cfg.slo.enabled) {
     std::printf("\n=== health ===\n%s", service.health_text().c_str());

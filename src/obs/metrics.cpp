@@ -43,16 +43,39 @@ double Gauge::from_bits(std::uint64_t b) {
 
 namespace {
 
-/// Exponential bucket index for a duration in seconds: bucket 0 is < 1us,
-/// bucket i in [2^(i-1), 2^i) us, last bucket overflow. Pure integer math
-/// after the seconds->us conversion.
+constexpr unsigned kSubBits = 3;
+static_assert(Histogram::kSubBuckets == 1u << kSubBits, "sub-bucket math assumes 2^kSubBits");
+/// Samples at or above 2^31 us land in the overflow bucket. Percentiles
+/// and the sum treat that bucket as [2^31, 2^32) us, so neither ever
+/// reads +inf or converts an out-of-range double to an integer.
+constexpr double kOverflowUs = 2147483648.0;  // 2^31
+constexpr double kCeilingUs = 2.0 * kOverflowUs;
+
+/// Log-linear bucket index for a duration in seconds. In units of 1/8 us,
+/// m < 8 is octave 0 directly; otherwise the leading bit picks the octave
+/// and the next three bits the sub-bucket.
 std::size_t bucket_index(double seconds) {
-  if (!(seconds > 0.0)) return 0;
+  if (!(seconds > 0.0)) return 0;  // NaN, zero and negatives
   const double us = seconds * 1e6;
-  if (us < 1.0) return 0;
-  const auto n = static_cast<std::uint64_t>(us);
-  const std::size_t log2 = 63 - static_cast<std::size_t>(__builtin_clzll(n | 1));
-  return std::min(log2 + 1, Histogram::kBuckets - 1);
+  if (!(us < kOverflowUs)) return Histogram::kBuckets - 1;  // huge and +inf
+  const auto m = static_cast<std::uint64_t>(us * Histogram::kSubBuckets);
+  if (m < Histogram::kSubBuckets) return static_cast<std::size_t>(m);
+  const auto top = static_cast<unsigned>(63 - __builtin_clzll(m));  // >= kSubBits
+  return (top - kSubBits + 1) * Histogram::kSubBuckets +
+         static_cast<std::size_t>((m >> (top - kSubBits)) & (Histogram::kSubBuckets - 1));
+}
+
+/// 1-based rank of the q-th percentile among `count` samples (0 for q=0).
+std::uint64_t percentile_rank(double q, std::uint64_t count) {
+  return static_cast<std::uint64_t>(
+      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(count)));
+}
+
+/// A sample's contribution to the sum, in whole nanoseconds (rounded, so
+/// sub-microsecond samples are not lost), clamped to the overflow ceiling.
+std::uint64_t sum_ns(double seconds) {
+  if (!(seconds > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::min(seconds * 1e6, kCeilingUs) * 1e3 + 0.5);
 }
 
 }  // namespace
@@ -60,9 +83,7 @@ std::size_t bucket_index(double seconds) {
 void Histogram::record(double seconds) {
   auto& shard = shards_[detail::thread_shard()];
   shard.counts[bucket_index(seconds)].fetch_add(1, std::memory_order_relaxed);
-  shard.n.fetch_add(1, std::memory_order_relaxed);
-  const double us = seconds > 0.0 ? seconds * 1e6 : 0.0;
-  shard.sum_us.fetch_add(static_cast<std::uint64_t>(us), std::memory_order_relaxed);
+  shard.sum_ns.fetch_add(sum_ns(seconds), std::memory_order_relaxed);
 }
 
 void Histogram::record(double seconds, std::uint64_t exemplar_id) {
@@ -71,7 +92,7 @@ void Histogram::record(double seconds, std::uint64_t exemplar_id) {
   // as a group, so a concurrent reader can see a torn (id, value) pair —
   // fine for a diagnostic pointer, and it keeps this path allocation-free
   // and contention-cheap inside the serve decide loop.
-  auto& slot = exemplars_[bucket_index(seconds)];
+  auto& slot = exemplars_[bucket_index(seconds) / kSubBuckets];
   std::uint64_t bits;
   std::memcpy(&bits, &seconds, sizeof(bits));
   slot.id.store(exemplar_id, std::memory_order_relaxed);
@@ -79,10 +100,24 @@ void Histogram::record(double seconds, std::uint64_t exemplar_id) {
   slot.stamp.store(1, std::memory_order_relaxed);
 }
 
-Histogram::Exemplar Histogram::exemplar(std::size_t i) const {
+Histogram::Snapshot Histogram::snapshot() const {
+  Snapshot s;
+  std::uint64_t ns = 0;
+  for (const auto& shard : shards_) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      s.counts[i] += shard.counts[i].load(std::memory_order_relaxed);
+    }
+    ns += shard.sum_ns.load(std::memory_order_relaxed);
+  }
+  for (const std::uint64_t c : s.counts) s.count += c;
+  s.sum = static_cast<double>(ns) * 1e-9;
+  return s;
+}
+
+Histogram::Exemplar Histogram::exemplar(std::size_t octave) const {
   Exemplar e;
-  if (i >= kBuckets) return e;
-  const auto& slot = exemplars_[i];
+  if (octave >= kOctaves) return e;
+  const auto& slot = exemplars_[octave];
   if (slot.stamp.load(std::memory_order_relaxed) == 0) return e;
   e.id = slot.id.load(std::memory_order_relaxed);
   const std::uint64_t bits = slot.value_bits.load(std::memory_order_relaxed);
@@ -92,8 +127,8 @@ Histogram::Exemplar Histogram::exemplar(std::size_t i) const {
 }
 
 Histogram::Exemplar Histogram::exemplar_for_percentile(double q) const {
-  const std::size_t target = percentile_bucket(q);
-  // Exact bucket first, then nearest stamped bucket below (a slightly
+  const std::size_t target = snapshot().percentile_bucket(q) / kSubBuckets;
+  // Exact octave first, then nearest stamped octave below (a slightly
   // faster real request), then above (a slightly slower one).
   Exemplar e = exemplar(target);
   if (e.valid) return e;
@@ -101,146 +136,60 @@ Histogram::Exemplar Histogram::exemplar_for_percentile(double q) const {
     e = exemplar(i);
     if (e.valid) return e;
   }
-  for (std::size_t i = target + 1; i < kBuckets; ++i) {
+  for (std::size_t i = target + 1; i < kOctaves; ++i) {
     e = exemplar(i);
     if (e.valid) return e;
   }
   return e;
 }
 
-std::uint64_t Histogram::count() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s.n.load(std::memory_order_relaxed);
-  return n;
-}
-
-double Histogram::sum() const {
-  std::uint64_t us = 0;
-  for (const auto& s : shards_) us += s.sum_us.load(std::memory_order_relaxed);
-  return static_cast<double>(us) * 1e-6;
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s.counts[i].load(std::memory_order_relaxed);
-  return n;
-}
-
 double Histogram::bucket_upper_seconds(std::size_t i) {
   if (i + 1 >= kBuckets) return std::numeric_limits<double>::infinity();
-  return static_cast<double>(1ull << i) * 1e-6;  // bucket i upper bound: 2^i us
+  const std::size_t octave = i / kSubBuckets;
+  const std::size_t sub = i % kSubBuckets;
+  // Octave 0 steps by 1/8 us; octave c steps by 2^(c-1)/8 us from 2^(c-1).
+  // Both are exact in binary, so the octave edges are exactly 2^c us.
+  const double upper_us =
+      octave == 0 ? std::ldexp(static_cast<double>(sub + 1), -static_cast<int>(kSubBits))
+                  : std::ldexp(static_cast<double>(kSubBuckets + sub + 1),
+                               static_cast<int>(octave) - 1 - static_cast<int>(kSubBits));
+  return upper_us * 1e-6;
 }
 
-double Histogram::percentile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
+std::size_t Histogram::Snapshot::percentile_bucket(double q) const {
+  const std::uint64_t rank = std::max<std::uint64_t>(percentile_rank(q, count), 1);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bucket(i);
-    if (seen + c >= std::max<std::uint64_t>(rank, 1)) {
-      // Interpolate within the bucket [lower, upper).
-      const double lower = i == 0 ? 0.0 : bucket_upper_seconds(i - 1);
-      const double upper = i + 1 >= kBuckets ? lower * 2.0 : bucket_upper_seconds(i);
-      const double frac =
-          c ? (static_cast<double>(rank - seen)) / static_cast<double>(c) : 1.0;
-      return lower + (upper - lower) * frac;
-    }
-    seen += c;
+    seen += counts[i];
+    if (seen >= rank) return i;
   }
-  return bucket_upper_seconds(kBuckets - 2);
+  return 0;  // empty snapshot
 }
 
-std::size_t Histogram::percentile_bucket(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bucket(i);
-    if (seen + c >= std::max<std::uint64_t>(rank, 1)) return i;
-    seen += c;
-  }
-  return kBuckets - 1;
+double Histogram::Snapshot::percentile(double q) const {
+  if (count == 0) return 0.0;
+  const std::size_t i = percentile_bucket(q);
+  std::uint64_t below = 0;
+  for (std::size_t j = 0; j < i; ++j) below += counts[j];
+  // Interpolate within the bucket [lower, upper); the overflow bucket
+  // spans one more octave.
+  const double lower = i == 0 ? 0.0 : bucket_upper_seconds(i - 1);
+  const double upper = i + 1 >= kBuckets ? kCeilingUs * 1e-6 : bucket_upper_seconds(i);
+  const double frac = static_cast<double>(percentile_rank(q, count) - below) /
+                      static_cast<double>(counts[i]);
+  return lower + (upper - lower) * frac;
 }
 
 void Histogram::reset() {
   for (auto& s : shards_) {
     for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
-    s.n.store(0, std::memory_order_relaxed);
-    s.sum_us.store(0, std::memory_order_relaxed);
+    s.sum_ns.store(0, std::memory_order_relaxed);
   }
   for (auto& e : exemplars_) {
     e.stamp.store(0, std::memory_order_relaxed);
     e.id.store(0, std::memory_order_relaxed);
     e.value_bits.store(0, std::memory_order_relaxed);
   }
-}
-
-// ------------------------------------------------------------- reservoir
-
-ReservoirHistogram::ReservoirHistogram(std::size_t capacity) : capacity_(capacity) {
-  // Full reservation up front: record() must never allocate, because the
-  // serve engine records a latency sample inside the zero-allocation
-  // steady-state window the soak bench audits.
-  samples_.reserve(capacity_);
-}
-
-void ReservoirHistogram::record(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++count_;
-  sum_ += value;
-  if (value > max_) max_ = value;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(value);
-    return;
-  }
-  // Reservoir: keep each of the `count_` samples with probability
-  // capacity/count. splitmix64 keeps this allocation-free and lock-local.
-  rng_state_ += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = rng_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  const std::uint64_t slot = z % count_;
-  if (slot < samples_.size()) samples_[slot] = value;
-}
-
-namespace {
-double percentile_of_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-}  // namespace
-
-ReservoirSnapshot ReservoirHistogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ReservoirSnapshot s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = sum_ / static_cast<double>(count_);
-  s.max = max_;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = percentile_of_sorted(sorted, 50.0);
-  s.p95 = percentile_of_sorted(sorted, 95.0);
-  s.p99 = percentile_of_sorted(sorted, 99.0);
-  s.p999 = percentile_of_sorted(sorted, 99.9);
-  return s;
-}
-
-void ReservoirHistogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-  samples_.clear();
 }
 
 // -------------------------------------------------------------- registry
@@ -275,6 +224,16 @@ Histogram* MetricsRegistry::histogram(const std::string& name, const std::string
   return &histograms_.back();
 }
 
+namespace {
+/// Exposition value: %.17g, with the non-finite spellings Prometheus
+/// parses ("+Inf", "-Inf", "NaN") instead of printf's "inf"/"nan".
+std::string prom_double(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return util::format_double_exact(v);
+}
+}  // namespace
+
 std::string MetricsRegistry::to_prometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
@@ -287,35 +246,29 @@ std::string MetricsRegistry::to_prometheus() const {
         break;
       case Kind::kGauge:
         out << "# TYPE " << e.name << " gauge\n";
-        out << e.name << ' ' << util::format_double_exact(e.gauge->value()) << '\n';
+        out << e.name << ' ' << prom_double(e.gauge->value()) << '\n';
         break;
       case Kind::kHistogram: {
         out << "# TYPE " << e.name << " histogram\n";
+        // One snapshot per family: the octave bounds, _count and _sum all
+        // come from the same bucket reads, so the scrape cannot tear.
+        const Histogram::Snapshot snap = e.histogram->snapshot();
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-          cumulative += e.histogram->bucket(i);
-          const double upper = Histogram::bucket_upper_seconds(i);
-          out << e.name << "_bucket{le=\"";
-          if (std::isinf(upper)) {
-            out << "+Inf";
-          } else {
-            out << util::format_double_exact(upper);
-          }
-          out << "\"} " << cumulative;
-          // OpenMetrics-style exemplar: ties this latency bucket back to
+          cumulative += snap.counts[i];
+          const bool octave_edge =
+              i % Histogram::kSubBuckets == Histogram::kSubBuckets - 1 || i + 1 == Histogram::kBuckets;
+          if (!octave_edge) continue;
+          out << e.name << "_bucket{le=\"" << prom_double(Histogram::bucket_upper_seconds(i))
+              << "\"} " << cumulative;
+          // OpenMetrics-style exemplar: ties this latency octave back to
           // one concrete trace/request id recorded via record(s, id).
-          const auto ex = e.histogram->exemplar(i);
-          if (ex.valid) {
-            out << " # {trace_id=\"" << ex.id << "\"} "
-                << util::format_double_exact(ex.seconds);
-          }
+          const auto ex = e.histogram->exemplar(i / Histogram::kSubBuckets);
+          if (ex.valid) out << " # {trace_id=\"" << ex.id << "\"} " << prom_double(ex.seconds);
           out << '\n';
         }
-        // _count is the +Inf bucket's cumulative total, read in the same
-        // pass: count() would read other counters, and a record() landing
-        // between the two reads would tear the scrape.
-        out << e.name << "_count " << cumulative << '\n';
-        out << e.name << "_sum " << util::format_double_exact(e.histogram->sum()) << '\n';
+        out << e.name << "_count " << snap.count << '\n';
+        out << e.name << "_sum " << prom_double(snap.sum) << '\n';
         break;
       }
     }

@@ -1,4 +1,4 @@
-// Unified observability: process-wide metrics registry (ISSUE 6 tentpole).
+// Unified observability: process-wide metrics registry.
 //
 // Three instrument kinds, all allocation-free and lock-free on the update
 // path so instrumented hot loops (the simulator's zero-steady-state-alloc
@@ -9,19 +9,15 @@
 //              by a per-thread id, so concurrent writers do not bounce one
 //              line. value() sums the shards.
 //   Gauge      last-written double (free nodes, queue depth, sessions).
-//   Histogram  fixed exponential buckets (power-of-2 in microseconds up to
-//              ~1 hour) plus sharded count/sum; bucket index is computed
-//              from the exponent bits, so record() is a handful of integer
-//              ops and two relaxed adds. percentile() interpolates within
-//              the bucket — coarse but monotone, good enough for per-phase
-//              profiling. For exact tail percentiles (serve latency) use
-//              ReservoirHistogram below.
-//   ReservoirHistogram
-//              bounded reservoir with exact percentiles over the retained
-//              sample (mutex-guarded; the engine behind
-//              serve::LatencyRecorder). The reservoir is fully reserved at
-//              construction, so record() never allocates — O(1) memory and
-//              allocation-free forever (the serve soak gate depends on it).
+//   Histogram  log-linear buckets: each power-of-2 octave of microseconds
+//              (up to ~36 minutes) is split into 8 equal sub-buckets, plus
+//              a sharded nanosecond sum. record() is a handful of integer
+//              ops and two relaxed adds. Every reader (percentile, mean,
+//              exemplars, the Prometheus dump, SLO windows) works on one
+//              snapshot() that reads each bucket once, so its count always
+//              equals its bucket total. This is also the serve decision
+//              latency instrument: interpolated percentiles land within
+//              one sub-bucket (<= 1/8 of the value) of the exact sample.
 //
 // Registration (registry().counter("name") etc.) allocates and takes a
 // mutex — do it once at startup or via a function-local static, never per
@@ -89,21 +85,38 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{0};
 };
 
-/// Fixed exponential buckets over seconds: bucket i holds samples in
-/// [2^(i-1), 2^i) microseconds; bucket 0 is < 1us, the last is overflow
-/// (>= ~1.2 hours). 33 buckets cover the whole range with one clz.
+/// Log-linear buckets over seconds. Octave 0 is [0, 1) us, octave c in
+/// 1..31 is [2^(c-1), 2^c) us, and each octave is split into kSubBuckets
+/// equal-width buckets. The last bucket is overflow: >= 2^31 us (~36 min)
+/// and +inf. NaN and values <= 0 land in bucket 0. The Prometheus dump
+/// emits the cumulative count at every octave boundary, i.e. the 33 bounds
+/// 1 us, 2 us, ..., 2^31 us and +Inf.
 ///
-/// Buckets can carry EXEMPLARS: record(seconds, exemplar_id) stamps the
-/// sample's bucket with the id (a trace/request id), last-writer-wins.
+/// Octaves can carry EXEMPLARS: record(seconds, exemplar_id) stamps the
+/// sample's octave with the id (a trace/request id), last-writer-wins.
 /// That is the link from an aggregate percentile back to one concrete
 /// request journey in the trace ring: exemplar_for_percentile(99.9)
 /// returns the id of a real request that landed in (or nearest to) the
-/// p99.9 bucket. Exemplar stores are relaxed and deliberately unsharded —
+/// p99.9 octave. Exemplar stores are relaxed and deliberately unsharded —
 /// a torn id/value pair under contention is acceptable for a diagnostic
 /// pointer and keeps record() allocation-free.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 33;
+  static constexpr std::size_t kSubBuckets = 8;
+  static constexpr std::size_t kOctaves = 33;  ///< incl. the overflow octave
+  static constexpr std::size_t kBuckets = (kOctaves - 1) * kSubBuckets + 1;
+
+  /// One consistent read: each bucket loaded once, `count` their total.
+  struct Snapshot {
+    std::uint64_t counts[kBuckets] = {};
+    std::uint64_t count = 0;
+    double sum = 0.0;  ///< seconds
+    double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+    /// Monotone bucket-interpolated percentile estimate, q in [0,100].
+    double percentile(double q) const;
+    /// Bucket holding the q-th percentile rank.
+    std::size_t percentile_bucket(double q) const;
+  };
 
   struct Exemplar {
     std::uint64_t id = 0;      ///< trace/request id stamped by record()
@@ -112,23 +125,19 @@ class Histogram {
   };
 
   void record(double seconds);
-  /// Record and stamp the sample's bucket with `exemplar_id`.
+  /// Record and stamp the sample's octave with `exemplar_id`.
   void record(double seconds, std::uint64_t exemplar_id);
-  std::uint64_t count() const;
-  double sum() const;
-  double mean() const {
-    const auto n = count();
-    return n ? sum() / static_cast<double>(n) : 0.0;
-  }
-  std::uint64_t bucket(std::size_t i) const;
+  Snapshot snapshot() const;
+  std::uint64_t count() const { return snapshot().count; }
+  double sum() const { return snapshot().sum; }
+  double mean() const { return snapshot().mean(); }
+  double percentile(double q) const { return snapshot().percentile(q); }
   /// Upper bound of bucket i in seconds (+inf for the overflow bucket).
   static double bucket_upper_seconds(std::size_t i);
-  /// Monotone bucket-interpolated percentile estimate, q in [0,100].
-  double percentile(double q) const;
-  /// Exemplar stamped on bucket i (valid=false when none recorded).
-  Exemplar exemplar(std::size_t i) const;
-  /// Exemplar of the bucket holding the q-th percentile rank, falling back
-  /// to the nearest stamped bucket (below first, then above). The returned
+  /// Exemplar stamped on octave `octave` (valid=false when none recorded).
+  Exemplar exemplar(std::size_t octave) const;
+  /// Exemplar of the octave holding the q-th percentile rank, falling back
+  /// to the nearest stamped octave (below first, then above). The returned
   /// id is a concrete trace/request id behind that latency region.
   Exemplar exemplar_for_percentile(double q) const;
   void reset();
@@ -136,49 +145,16 @@ class Histogram {
  private:
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> counts[kBuckets] = {};
-    std::atomic<std::uint64_t> n{0};
-    std::atomic<std::uint64_t> sum_us{0};
+    std::atomic<std::uint64_t> sum_ns{0};
   };
-  /// One slot per bucket, unsharded: stamp > 0 marks a recorded exemplar.
+  /// One slot per octave, unsharded: stamp > 0 marks a recorded exemplar.
   struct ExemplarSlot {
     std::atomic<std::uint64_t> id{0};
     std::atomic<std::uint64_t> value_bits{0};  ///< double bit pattern
     std::atomic<std::uint64_t> stamp{0};
   };
-  std::size_t percentile_bucket(double q) const;
   Shard shards_[detail::kShards];
-  ExemplarSlot exemplars_[kBuckets];
-};
-
-struct ReservoirSnapshot {
-  std::size_t count = 0;  ///< total recorded (not just retained) samples
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;  ///< tail the serve soak gate watches
-  double max = 0.0;
-};
-
-/// Thread-safe accumulator with reservoir sampling past `capacity`: exact
-/// percentiles over a uniformly drawn retained sample, O(1) memory for
-/// unbounded streams. This is the engine behind serve::LatencyRecorder.
-class ReservoirHistogram {
- public:
-  explicit ReservoirHistogram(std::size_t capacity = 1 << 16);
-
-  void record(double value);
-  ReservoirSnapshot snapshot() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;  ///< reservoir replacement
-  std::vector<double> samples_;
+  ExemplarSlot exemplars_[kOctaves];
 };
 
 /// Named metric directory. register-once / update-forever: handles are

@@ -87,12 +87,14 @@ void SloEngine::on_fire(FireCallback cb) {
 
 void SloEngine::read_sources(const Slo& slo, double* bad, double* total) const {
   if (slo.spec.kind == SloKind::kLatencyQuantile) {
-    double bad_n = 0.0;
+    // One snapshot: bad and total come from the same bucket reads.
+    const Histogram::Snapshot snap = slo.spec.latency->snapshot();
+    std::uint64_t bad_n = 0;
     for (std::size_t i = slo.first_bad_bucket; i < Histogram::kBuckets; ++i) {
-      bad_n += static_cast<double>(slo.spec.latency->bucket(i));
+      bad_n += snap.counts[i];
     }
-    *bad = bad_n;
-    *total = static_cast<double>(slo.spec.latency->count());
+    *bad = static_cast<double>(bad_n);
+    *total = static_cast<double>(snap.count);
   } else {
     *bad = static_cast<double>(slo.spec.bad->value());
     *total = *bad + static_cast<double>(slo.spec.good->value());

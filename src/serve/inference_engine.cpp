@@ -74,12 +74,7 @@ CompletionToken* TokenPool::acquire() {
 void TokenPool::release(CompletionToken* token) {
   token->done = false;
   token->error = nullptr;
-  token->on_complete = nullptr;
-  token->ctx_a = nullptr;
-  token->ctx_b = nullptr;
-  token->ctx_c = nullptr;
-  token->ctx_id = 0;
-  token->keepalive.reset();
+  token->hook.reset();
   std::lock_guard<std::mutex> lock(mutex_);
   free_.push_back(token);
 }
@@ -173,89 +168,11 @@ BatchedInferenceEngine::Request* BatchedInferenceEngine::reserve_slot_locked() {
   return &slot;
 }
 
-std::future<Decision> BatchedInferenceEngine::submit(
-    std::vector<float> observation, std::function<void(const Decision&)> on_complete,
-    std::uint64_t request_id) {
-  std::promise<Decision> promise;
-  auto fut = promise.get_future();
-  std::size_t slot_index = 0;
-  double enqueue_seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) {
-      promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("BatchedInferenceEngine: draining, request rejected")));
-      return fut;
-    }
-    Request* slot = reserve_slot_locked();
-    if (!slot) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      engine_rejected_counter().add();
-      promise.set_exception(std::make_exception_ptr(BackpressureRejected()));
-      return fut;
-    }
-    slot->observation = std::move(observation);
-    slot->promise.emplace(std::move(promise));
-    slot->on_complete = std::move(on_complete);
-    slot->waiter = nullptr;
-    slot->token = nullptr;
-    slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
-    slot->request_id = request_id;
-    slot_index = static_cast<std::size_t>(slot - ring_.data());
-  }
-  cv_.notify_one();
-  if (request_id != 0 && obs::enabled()) {
-    record_enqueue_event(request_id, slot_index, enqueue_seconds);
-  }
-  return fut;
-}
-
-BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::try_decide_blocking(
-    std::vector<float>& observation, Decision& out, std::uint64_t request_id) {
-  thread_local detail::BlockingWaiter waiter;
-  waiter.done = false;
-  waiter.error = nullptr;
-  std::size_t slot_index = 0;
-  double enqueue_seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) return SubmitResult::kDraining;
-    Request* slot = reserve_slot_locked();
-    if (!slot) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      engine_rejected_counter().add();
-      return SubmitResult::kRejectedBackpressure;
-    }
-    slot->observation.swap(observation);  // capacities circulate, no alloc
-    slot->promise.reset();
-    slot->on_complete = nullptr;
-    slot->waiter = &waiter;
-    slot->token = nullptr;
-    slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
-    slot->request_id = request_id;
-    slot_index = static_cast<std::size_t>(slot - ring_.data());
-  }
-  cv_.notify_one();
-  if (request_id != 0 && obs::enabled()) {
-    record_enqueue_event(request_id, slot_index, enqueue_seconds);
-  }
-  std::unique_lock<std::mutex> lk(waiter.mutex);
-  waiter.cv.wait(lk, [&] { return waiter.done; });
-  if (waiter.error) std::rethrow_exception(waiter.error);
-  out = waiter.decision;
-  return SubmitResult::kOk;
-}
-
 BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
-    std::vector<float>& observation, AsyncDecision& out, PooledCompletion completion,
+    std::vector<float>& observation, AsyncDecision& out, std::shared_ptr<CompletionHook> hook,
     std::uint64_t request_id) {
   detail::CompletionToken* token = token_pool_.acquire();
-  token->on_complete = completion.fn;
-  token->ctx_a = completion.ctx_a;
-  token->ctx_b = completion.ctx_b;
-  token->ctx_c = completion.ctx_c;
-  token->ctx_id = completion.ctx_id;
-  token->keepalive = std::move(completion.keepalive);
+  token->hook = std::move(hook);
   std::size_t slot_index = 0;
   double enqueue_seconds = 0.0;
   {
@@ -272,9 +189,6 @@ BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
       return SubmitResult::kRejectedBackpressure;
     }
     slot->observation.swap(observation);  // capacities circulate, no alloc
-    slot->promise.reset();
-    slot->on_complete = nullptr;
-    slot->waiter = nullptr;
     slot->token = token;
     slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
     slot->request_id = request_id;
@@ -286,20 +200,6 @@ BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
   }
   out = AsyncDecision(token, &token_pool_);
   return SubmitResult::kOk;
-}
-
-Decision BatchedInferenceEngine::decide_blocking(std::vector<float>& observation,
-                                                 std::uint64_t request_id) {
-  Decision out;
-  switch (try_decide_blocking(observation, out, request_id)) {
-    case SubmitResult::kOk:
-      return out;
-    case SubmitResult::kRejectedBackpressure:
-      throw BackpressureRejected();
-    case SubmitResult::kDraining:
-      break;
-  }
-  throw std::runtime_error("BatchedInferenceEngine: draining, request rejected");
 }
 
 void BatchedInferenceEngine::drain() {
@@ -321,13 +221,8 @@ void BatchedInferenceEngine::drain() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (queued_ == 0) break;
       Request& slot = ring_[head_];
-      leftover.promise = std::move(slot.promise);
-      slot.promise.reset();
-      leftover.waiter = slot.waiter;
-      slot.waiter = nullptr;
       leftover.token = slot.token;
       slot.token = nullptr;
-      slot.on_complete = nullptr;
       head_ = (head_ + 1) % ring_.size();
       --queued_;
     }
@@ -354,7 +249,6 @@ EngineStats BatchedInferenceEngine::stats() const {
   s.mean_batch = ticks_ ? static_cast<double>(batch_sum_) / static_cast<double>(ticks_) : 0.0;
   s.max_batch = batch_max_;
   s.busy_seconds = busy_seconds_;
-  s.latency = latency_.snapshot();
   return s;
 }
 
@@ -388,12 +282,6 @@ void BatchedInferenceEngine::run() {
       for (std::size_t i = 0; i < take; ++i) {
         Request& slot = ring_[head_];
         observations_[i].swap(slot.observation);
-        batch_[i].promise = std::move(slot.promise);
-        slot.promise.reset();
-        batch_[i].on_complete = std::move(slot.on_complete);
-        slot.on_complete = nullptr;
-        batch_[i].waiter = slot.waiter;
-        slot.waiter = nullptr;
         batch_[i].token = slot.token;
         slot.token = nullptr;
         batch_[i].enqueue_seconds = slot.enqueue_seconds;
@@ -409,66 +297,30 @@ void BatchedInferenceEngine::run() {
 
 void BatchedInferenceEngine::fulfill(Request& req, const Decision* decision,
                                      const std::exception_ptr& failure) {
-  std::exception_ptr resolve_error = failure;
-  if (!resolve_error && req.on_complete) {
+  detail::CompletionToken* t = req.token;
+  req.token = nullptr;
+  std::exception_ptr error = failure;
+  if (!error && t->hook) {
     try {
-      req.on_complete(*decision);
+      t->hook->on_served(*decision);
     } catch (...) {
-      // A throwing callback must not take down the engine thread or
-      // starve the rest of the batch — it fails only its own request.
-      resolve_error = std::current_exception();
+      // A throwing hook must not take down the engine thread or starve
+      // the rest of the batch — it fails only its own request.
+      error = std::current_exception();
     }
   }
-  if (req.token && !resolve_error && req.token->on_complete) {
-    try {
-      req.token->on_complete(req.token->ctx_a, req.token->ctx_b, req.token->ctx_c,
-                             req.token->ctx_id, *decision);
-    } catch (...) {
-      resolve_error = std::current_exception();
-    }
+  std::lock_guard<std::mutex> lock(t->mutex);
+  if (error) {
+    t->error = error;
+  } else {
+    t->decision = *decision;
   }
-  if (req.waiter) {
-    detail::BlockingWaiter* w = req.waiter;
-    {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      if (resolve_error) {
-        w->error = resolve_error;
-      } else {
-        w->decision = *decision;
-      }
-      w->done = true;
-      // Notify INSIDE the lock: the waiter is a caller thread_local, and
-      // once it observes done it may exit and destroy the cv. Holding the
-      // mutex across the notify means the waiter cannot get past its wait
-      // (it must reacquire the mutex) until this touch of the cv is over.
-      w->cv.notify_one();
-    }
-    req.waiter = nullptr;
-  } else if (req.token) {
-    detail::CompletionToken* t = req.token;
-    {
-      std::lock_guard<std::mutex> lock(t->mutex);
-      if (resolve_error) {
-        t->error = resolve_error;
-      } else {
-        t->decision = *decision;
-      }
-      t->done = true;
-      // Same done-inside-the-lock discipline as the waiter: once done is
-      // observable the AsyncDecision may release the token to the pool,
-      // where another submit can immediately reset it.
-      t->cv.notify_one();
-    }
-    req.token = nullptr;
-  } else if (req.promise.has_value()) {
-    if (resolve_error) {
-      req.promise->set_exception(resolve_error);
-    } else {
-      req.promise->set_value(*decision);
-    }
-    req.promise.reset();  // release the shared state promptly
-  }
-  req.on_complete = nullptr;
+  t->done = true;
+  // Notify INSIDE the lock: once done is observable the AsyncDecision may
+  // release the token to the pool, where another submit can immediately
+  // reset it. Holding the mutex across the notify means the waiter cannot
+  // get past its wait until this touch of the cv is over.
+  t->cv.notify_one();
 }
 
 void BatchedInferenceEngine::serve_batch(std::size_t take) {
@@ -523,26 +375,24 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
 
   const bool tracing = obs::enabled();
   for (std::size_t i = 0; i < take; ++i) {
-    const double enqueue_seconds = batch_[i].enqueue_seconds;
-    const std::uint64_t request_id = batch_[i].request_id;
-    fulfill(batch_[i], failure ? nullptr : &decisions_[i], failure);
-    // Latency reflects SERVED decisions only: a failed batch must not
-    // drag the latency quantiles the soak gate asserts on.
+    Request& req = batch_[i];
+    // Latency reflects SERVED decisions only, recorded once and before
+    // the waiter wakes: a failed batch must not drag the quantiles, and a
+    // caller that has its decision also sees it counted.
     if (!failure) {
-      const double latency_seconds = t1 - enqueue_seconds;
-      latency_.record_seconds(latency_seconds);
+      const double latency_seconds = t1 - req.enqueue_seconds;
       engine_served_counter().add();
-      // Journey epilogue: the decision-latency bucket is stamped with the
+      // Journey epilogue: the decision-latency octave is stamped with the
       // request id (exemplar), and the [enqueue, served] slice lands in
       // the wall ring tagged with the tick that carried it.
-      if (request_id != 0) {
-        decision_latency_histogram().record(latency_seconds, request_id);
+      if (req.request_id != 0) {
+        decision_latency_histogram().record(latency_seconds, req.request_id);
         if (tracing) {
           obs::TraceEvent ev;
           ev.kind = obs::TraceEventKind::kRequestComplete;
-          ev.ts = static_cast<std::int64_t>(enqueue_seconds * 1e6);
+          ev.ts = static_cast<std::int64_t>(req.enqueue_seconds * 1e6);
           ev.dur = static_cast<std::int64_t>(latency_seconds * 1e6);
-          ev.arg0 = static_cast<std::int64_t>(request_id);
+          ev.arg0 = static_cast<std::int64_t>(req.request_id);
           ev.arg1 = static_cast<std::int64_t>(tick_id);
           ev.tid = static_cast<std::uint32_t>(obs::detail::thread_shard());
           obs::global_trace().record(ev);
@@ -551,6 +401,7 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
         decision_latency_histogram().record(latency_seconds);
       }
     }
+    fulfill(req, failure ? nullptr : &decisions_[i], failure);
   }
 
   std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -9,36 +9,28 @@
 // max_queue): when the inference engine saturates, new submissions are
 // rejected with BackpressureRejected and counted in EngineStats::rejected
 // instead of growing the heap without limit — admission control, not an
-// allocation storm. Two submission paths share the ring:
+// allocation storm.
 //
-//   submit()          future-based async path (allocates the promise's
-//                     shared state per request — the price of a future);
-//   decide_blocking() pooled synchronous path: the observation buffer is
-//                     swapped into a ring slot and the caller parks on a
-//                     thread_local waiter, so a steady-state decision
-//                     performs ZERO heap allocations end to end (audited
-//                     by bench_serve_soak with a stub model);
-//   submit_pooled()   pooled ASYNC path: instead of a promise/future pair
-//                     the request borrows a recycled CompletionToken from
-//                     the engine's token pool and hands back an
-//                     AsyncDecision that waits on it — so pipelined async
-//                     decides are also zero-allocation in steady state
-//                     (audited by bench_serve_soak alongside the blocking
-//                     path).
+// One submission path: submit_pooled() swaps the caller's observation
+// buffer into a ring slot and arms an AsyncDecision over a recycled
+// CompletionToken from the engine's token pool. A blocking decision is
+// submit_pooled() + get(). The token carries an optional typed
+// CompletionHook that runs on the engine thread for each served decision
+// (the service's per-session accounting and journaling). Steady-state
+// decisions perform ZERO heap allocations end to end (audited by
+// bench_serve_soak with a stub model).
 //
-// The tick's forward executes on util::ThreadPool::global() so serving
-// shares the process-wide compute pool with training/evaluation work; the
-// engine's own thread only coalesces, dispatches and fulfills requests.
+// Each served decision's enqueue-to-served latency is recorded once, into
+// the lock-free decision_latency_histogram(). The tick's forward runs on
+// util::ThreadPool::global() when EngineConfig::use_thread_pool is set,
+// otherwise on the engine thread itself.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <future>
-#include <optional>
 #include <thread>
 
-#include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "util/stats.hpp"
 
@@ -49,7 +41,7 @@ class Histogram;
 
 namespace mirage::serve {
 
-/// Thrown (or carried by the future) when the bounded request queue is
+/// Thrown by the throwing decide calls when the bounded request queue is
 /// full — the backpressure signal callers retry or shed load on.
 struct BackpressureRejected : std::runtime_error {
   BackpressureRejected()
@@ -85,42 +77,34 @@ struct EngineStats {
   double mean_batch = 0.0;
   std::size_t max_batch = 0;
   double busy_seconds = 0.0;       ///< wall time spent inside forwards
-  LatencySnapshot latency;         ///< submit() -> fulfilled (served only)
+};
+
+/// Typed completion hook: on_served() runs on the engine thread for each
+/// successfully served decision, before the caller's AsyncDecision is
+/// released (a drained, rejected or failed request never reaches it). A
+/// throwing hook fails only its own request. Held by shared_ptr, so
+/// arming a request is a refcount bump that also pins the hook's owner
+/// while the request is in flight.
+class CompletionHook {
+ public:
+  CompletionHook() = default;
+  CompletionHook(const CompletionHook&) = delete;
+  CompletionHook& operator=(const CompletionHook&) = delete;
+  virtual ~CompletionHook() = default;
+  virtual void on_served(const Decision& decision) = 0;
 };
 
 namespace detail {
-/// Parking slot for one blocking decision; thread_local in the caller, so
-/// it is reused forever and never allocated per request. The caller is
-/// parked inside decide_blocking() for the slot's whole in-flight life,
-/// which is what makes the thread_local lifetime safe.
-struct BlockingWaiter {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  Decision decision;
-  std::exception_ptr error;
-};
-
-/// Recycled completion state for the pooled async path: plays the role of
-/// a promise/future shared state, but lives in the engine's TokenPool and
-/// circulates instead of being heap-allocated per call. The completion
-/// callback is a raw function pointer plus context slots — assigning a
-/// std::function here could allocate, which is exactly what this path
-/// exists to avoid.
+/// Recycled completion state: plays the role of a promise/future shared
+/// state, but lives in the engine's TokenPool and circulates instead of
+/// being heap-allocated per call.
 struct CompletionToken {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
   Decision decision;
   std::exception_ptr error;
-  void (*on_complete)(void*, void*, void*, std::uint64_t, const Decision&) = nullptr;
-  void* ctx_a = nullptr;
-  void* ctx_b = nullptr;
-  void* ctx_c = nullptr;
-  std::uint64_t ctx_id = 0;
-  /// Keeps the callback's referents alive while the request is in flight
-  /// (a shared_ptr copy is a refcount bump, not an allocation).
-  std::shared_ptr<void> keepalive;
+  std::shared_ptr<CompletionHook> hook;
 };
 
 /// Freelist of CompletionTokens. Tokens are created on demand (cold
@@ -191,66 +175,27 @@ class BatchedInferenceEngine {
   /// Launch the engine thread (idempotent).
   void start();
 
-  /// Enqueue one observation (flattened [k*(m+1)], action channel
-  /// ignored). The future resolves after the batch containing it runs;
-  /// it carries an exception if the engine is draining, the queue is full
-  /// (BackpressureRejected) or no model resolves. `on_complete`, when
-  /// set, runs on the engine thread right before the promise is fulfilled
-  /// (successful decisions only — a drained or failed request is never
-  /// counted as served) — the service uses it for per-shard accounting on
-  /// the async path. `request_id`, when nonzero, threads the caller's
-  /// journey id through the ring: enqueue/complete trace events and the
-  /// latency histogram's exemplar carry it (ISSUE 8 request-journey
-  /// tracing).
-  std::future<Decision> submit(std::vector<float> observation,
-                               std::function<void(const Decision&)> on_complete = nullptr,
-                               std::uint64_t request_id = 0);
-
-  /// Outcome of a non-throwing blocking decision.
+  /// Outcome of a submission.
   enum class SubmitResult { kOk, kRejectedBackpressure, kDraining };
 
-  /// Pooled synchronous path: swap `observation` into a ring slot (the
-  /// caller gets the displaced buffer back for reuse — capacities
-  /// circulate, nothing is freed) and block until the batch containing it
-  /// runs. Zero steady-state heap allocations. On kOk, `out` holds the
-  /// decision; on rejection/drain the observation is swapped back
-  /// untouched. A batch failure (no model, short decision vector, bad
-  /// input dim) rethrows the batch's exception. Nonzero `request_id`
-  /// threads the journey id exactly as in submit().
-  SubmitResult try_decide_blocking(std::vector<float>& observation, Decision& out,
-                                   std::uint64_t request_id = 0);
-
-  /// Throwing convenience over try_decide_blocking: BackpressureRejected
-  /// on a full queue, std::runtime_error when draining.
-  Decision decide_blocking(std::vector<float>& observation, std::uint64_t request_id = 0);
-
-  /// Completion context for submit_pooled. `fn` runs on the engine thread
-  /// for successfully served decisions only (same contract as submit()'s
-  /// on_complete), with the three context pointers and id passed through;
-  /// `keepalive` pins whatever the pointers reference until the request
-  /// resolves.
-  struct PooledCompletion {
-    void (*fn)(void*, void*, void*, std::uint64_t, const Decision&) = nullptr;
-    void* ctx_a = nullptr;
-    void* ctx_b = nullptr;
-    void* ctx_c = nullptr;
-    std::uint64_t ctx_id = 0;
-    std::shared_ptr<void> keepalive;
-  };
-
-  /// Pooled async path: like try_decide_blocking (observation swapped into
-  /// a ring slot, zero steady-state allocations) but returns immediately
-  /// with `out` waiting on a recycled CompletionToken instead of parking
-  /// the caller. On rejection/drain `out` is untouched and the token goes
-  /// straight back to the pool.
+  /// Enqueue one observation (flattened [k*(m+1)], action channel
+  /// ignored): swap it into a ring slot (the caller gets the displaced
+  /// buffer back for reuse — capacities circulate, nothing is freed) and
+  /// arm `out` over a recycled CompletionToken. out.get() waits for the
+  /// batch containing the request and rethrows its failure (no model,
+  /// short decision vector, bad input dim, a throwing hook). `hook`, when
+  /// set, runs on the engine thread for the served decision. Nonzero
+  /// `request_id` threads the caller's journey id through the ring:
+  /// enqueue/complete trace events and the latency histogram's exemplar
+  /// carry it. On rejection/drain `out` and the observation are left
+  /// untouched and the token goes straight back to the pool. Zero
+  /// steady-state heap allocations.
   SubmitResult submit_pooled(std::vector<float>& observation, AsyncDecision& out,
-                             PooledCompletion completion, std::uint64_t request_id = 0);
-  SubmitResult submit_pooled(std::vector<float>& observation, AsyncDecision& out) {
-    return submit_pooled(observation, out, PooledCompletion());
-  }
+                             std::shared_ptr<CompletionHook> hook = nullptr,
+                             std::uint64_t request_id = 0);
 
-  /// Completion tokens ever created (the pooled-async allocation audit:
-  /// flat in a warmed steady state).
+  /// Completion tokens ever created (the allocation audit: flat in a
+  /// warmed steady state).
   std::size_t tokens_created() const { return token_pool_.created(); }
 
   /// Graceful drain: reject new requests, serve everything queued, then
@@ -262,14 +207,9 @@ class BatchedInferenceEngine {
   EngineStats stats() const;
 
  private:
-  /// One ring slot / in-flight request. Exactly one of {promise, waiter,
-  /// token} is set: promise for the future path, waiter for the blocking
-  /// path, token for the pooled async path.
+  /// One ring slot / in-flight request.
   struct Request {
     std::vector<float> observation;  ///< buffer owned by the slot, reused
-    std::optional<std::promise<Decision>> promise;
-    std::function<void(const Decision&)> on_complete;
-    detail::BlockingWaiter* waiter = nullptr;
     detail::CompletionToken* token = nullptr;
     double enqueue_seconds = 0.0;
     std::uint64_t request_id = 0;    ///< journey id (0 = untraced caller)
@@ -277,9 +217,9 @@ class BatchedInferenceEngine {
 
   void run();
   void serve_batch(std::size_t take);
-  /// Deliver one fulfilled request (engine thread). Success runs
-  /// on_complete then resolves; failure resolves with `failure`.
-  void fulfill(Request& req, const Decision* decision, const std::exception_ptr& failure);
+  /// Deliver one fulfilled request (engine thread). Success runs the
+  /// token's hook then resolves; failure resolves with `failure`.
+  static void fulfill(Request& req, const Decision* decision, const std::exception_ptr& failure);
   /// Reserve the next ring slot or report why not (caller holds mutex_).
   Request* reserve_slot_locked();
 
@@ -295,7 +235,7 @@ class BatchedInferenceEngine {
   bool started_ = false;
   std::thread worker_;
   std::atomic<std::uint64_t> rejected_{0};
-  detail::TokenPool token_pool_;   ///< recycled completion tokens (async path)
+  detail::TokenPool token_pool_;   ///< recycled completion tokens
 
   // Engine-thread tick scratch (no locks needed): extracted requests and
   // the reusable observation/decision buffers for the batched forward.
@@ -313,15 +253,15 @@ class BatchedInferenceEngine {
   std::uint64_t batch_sum_ = 0;
   std::size_t batch_max_ = 0;
   double busy_seconds_ = 0.0;
-  LatencyRecorder latency_;
 };
 
 /// Process-wide decision-latency histogram
-/// ("mirage_serve_decision_latency_seconds"): exponential buckets with
-/// EXEMPLARS — each bucket remembers the last request id that landed in
+/// ("mirage_serve_decision_latency_seconds"): log-linear buckets with
+/// EXEMPLARS — each octave remembers the last request id that landed in
 /// it, so a p99.9 reading links back to one concrete journey in the trace
-/// ring. Every engine records served decisions here; the serve SLO
-/// engine's latency objective reads it.
+/// ring. Every engine records each served decision here exactly once; the
+/// serve SLO engine's latency objective, metrics_text() and the benches'
+/// latency quantiles all read it. Reset it to scope a per-run count.
 obs::Histogram& decision_latency_histogram();
 
 /// Process-wide served-decision counter ("mirage_serve_engine_served_total"),

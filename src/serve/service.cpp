@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -87,6 +86,12 @@ void ProvisioningService::init_gauges() {
         reg.gauge("mirage_serve_shard_sessions_" + std::to_string(i),
                   "live sessions owned by shard " + std::to_string(i)));
   }
+  // Register the sweeper's counters now: their first bump can land inside
+  // a zero-allocation window (the first idle-skipped scan only happens
+  // once evictions shrink a shard), and registration allocates.
+  sweeper_wakeups_counter();
+  sweeper_skipped_counter();
+  sweeper_stretches_counter();
 }
 
 void ProvisioningService::configure_slos() {
@@ -187,7 +192,7 @@ void ProvisioningService::drain_and_stop() {
 
 SessionId ProvisioningService::open_session() {
   const SessionId id = next_session_.fetch_add(1, std::memory_order_relaxed);
-  auto session = std::make_shared<Session>(id, config_.history_len,
+  auto session = std::make_shared<Session>(*this, id, config_.history_len,
                                            std::max<std::size_t>(1, config_.partition_count));
   session->last_access_seconds.store(util::wall_seconds(), std::memory_order_relaxed);
   // Journal BEFORE the map insert: nothing (not even the sweeper) can
@@ -381,8 +386,8 @@ void ProvisioningService::observe(SessionId id, const sim::StateSample& sample,
   }
 }
 
-void ProvisioningService::record_served(Shard& shard, Session& session,
-                                        const Decision& d) const {
+void ProvisioningService::record_served(Session& session, const Decision& d) const {
+  Shard& shard = shard_of(session.id);
   session.decisions.fetch_add(1, std::memory_order_relaxed);
   shard.decisions.fetch_add(1, std::memory_order_relaxed);
   if (d.action == 1) shard.submits.fetch_add(1, std::memory_order_relaxed);
@@ -406,24 +411,6 @@ std::uint64_t ProvisioningService::begin_request_trace(SessionId id) const {
   return request_id;
 }
 
-std::future<Decision> ProvisioningService::decide_async(SessionId id) {
-  const auto session = find_session(id);
-  std::vector<float> observation;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    observation = session->encoder.flatten(0.0f);
-  }
-  // Served-decision accounting happens in the engine's completion hook,
-  // which runs only when the request actually produced a decision — a
-  // drained, rejected or failed request never inflates the counters.
-  Shard* shard = &shard_of(id);
-  return engine_.submit(std::move(observation),
-                        [this, shard, session](const Decision& d) {
-                          record_served(*shard, *session, d);
-                        },
-                        begin_request_trace(id));
-}
-
 Decision ProvisioningService::decide(SessionId id) {
   Decision out;
   switch (try_decide(id, out)) {
@@ -439,49 +426,27 @@ Decision ProvisioningService::decide(SessionId id) {
 
 BatchedInferenceEngine::SubmitResult ProvisioningService::try_decide(SessionId id,
                                                                      Decision& out) {
-  const auto session = find_session(id);
-  // Reused per calling thread: flatten_into + the engine's slot swap keep
-  // the steady-state decide path free of heap allocations.
-  thread_local std::vector<float> observation;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    session->encoder.flatten_into(observation, 0.0f);
-  }
-  const auto result = engine_.try_decide_blocking(observation, out, begin_request_trace(id));
-  if (result == BatchedInferenceEngine::SubmitResult::kOk) {
-    record_served(shard_of(id), *session, out);
-  }
+  AsyncDecision pending;
+  const auto result = try_decide_async(id, pending);
+  if (result == BatchedInferenceEngine::SubmitResult::kOk) out = pending.get();
   return result;
-}
-
-void ProvisioningService::pooled_served_trampoline(void* ctx_a, void* ctx_b, void* ctx_c,
-                                                   std::uint64_t /*request_id*/,
-                                                   const Decision& d) {
-  auto* self = static_cast<ProvisioningService*>(ctx_a);
-  auto* shard = static_cast<Shard*>(ctx_b);
-  auto* session = static_cast<Session*>(ctx_c);
-  self->record_served(*shard, *session, d);
 }
 
 BatchedInferenceEngine::SubmitResult ProvisioningService::try_decide_async(SessionId id,
                                                                            AsyncDecision& out) {
   const auto session = find_session(id);
-  // Same reused flatten buffer as try_decide: the engine swaps it into a
-  // ring slot, so the pooled async path never touches the heap in steady
-  // state (the keepalive copy below is a refcount bump, not an alloc).
+  // Reused per calling thread: flatten_into + the engine's slot swap keep
+  // the steady-state decide path free of heap allocations (the hook
+  // below is a refcount bump, not an alloc).
   thread_local std::vector<float> observation;
   {
     std::lock_guard<std::mutex> lock(session->mutex);
     session->encoder.flatten_into(observation, 0.0f);
   }
-  BatchedInferenceEngine::PooledCompletion completion;
-  completion.fn = &pooled_served_trampoline;
-  completion.ctx_a = this;
-  completion.ctx_b = &shard_of(id);
-  completion.ctx_c = session.get();
-  completion.keepalive = session;  // pins the session until the batch runs
-  return engine_.submit_pooled(observation, out, std::move(completion),
-                               begin_request_trace(id));
+  // The session is the completion hook: served accounting and journaling
+  // run on the engine thread only when the request produced a decision —
+  // a drained, rejected or failed request never inflates the counters.
+  return engine_.submit_pooled(observation, out, session, begin_request_trace(id));
 }
 
 AsyncDecision ProvisioningService::decide_async_pooled(SessionId id) {
@@ -537,7 +502,7 @@ void ProvisioningService::replay_wal() {
           }
           return;
         }
-        auto session = std::make_shared<Session>(id, config_.history_len, partitions);
+        auto session = std::make_shared<Session>(*this, id, config_.history_len, partitions);
         Shard& shard = shard_of(id);
         ++shard.total_sessions;  // single-threaded: constructor, pre-start
         live[id] = std::move(session);
@@ -777,28 +742,8 @@ std::string ProvisioningService::metrics_text() const {
   emit("mirage_serve_mean_batch", "mean batch size", "gauge", r.engine.mean_batch);
   emit("mirage_serve_busy_seconds", "engine busy time", "counter", r.engine.busy_seconds);
   emit("mirage_serve_uptime_seconds", "seconds since start()", "gauge", r.uptime_seconds);
-  // Latency as a Prometheus summary (exact reservoir quantiles, seconds).
-  out += "# HELP mirage_serve_latency_seconds request latency (reservoir quantiles)\n";
-  out += "# TYPE mirage_serve_latency_seconds summary\n";
-  const auto quantile = [&](const char* q, double ms) {
-    std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds{quantile=\"%s\"} %.17g\n", q,
-                  ms * 1e-3);
-    out += line;
-  };
-  quantile("0.5", r.engine.latency.p50_ms);
-  quantile("0.95", r.engine.latency.p95_ms);
-  quantile("0.99", r.engine.latency.p99_ms);
-  quantile("0.999", r.engine.latency.p999_ms);
-  std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds_sum %.17g\n",
-                r.engine.latency.mean_ms * 1e-3 * static_cast<double>(r.engine.latency.count));
-  out += line;
-  // The count is size_t-typed today but printed via a fixed-width cast:
-  // %zu would silently mismatch if the counter ever widens to uint64_t on
-  // an ILP32 target, and PRIu64 keeps the format portable either way.
-  std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds_count %" PRIu64 "\n",
-                static_cast<std::uint64_t>(r.engine.latency.count));
-  out += line;
-  // Process-wide instruments (span histograms, scenario/serve counters).
+  // Process-wide instruments (decision latency and span histograms,
+  // scenario/serve counters).
   out += obs::registry().to_prometheus();
   return out;
 }

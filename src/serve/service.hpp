@@ -178,12 +178,8 @@ class ProvisioningService {
   /// steady-state heap allocations.
   void observe(SessionId id, const sim::StateSample& sample, const rl::JobPairContext& ctx);
 
-  /// Batched async decision on the session's current history (allocates
-  /// the future's shared state; use decide()/try_decide() on paths that
-  /// must not touch the heap).
-  std::future<Decision> decide_async(SessionId id);
-  /// Blocking decision via the engine's pooled path: zero steady-state
-  /// heap allocations per call (audited by bench_serve_soak). Throws
+  /// Blocking decision: try_decide_async + get(). Zero steady-state heap
+  /// allocations per call (audited by bench_serve_soak). Throws
   /// BackpressureRejected when the engine queue is full.
   Decision decide(SessionId id);
   /// Non-throwing blocking variant for load-shedding callers (the soak
@@ -192,12 +188,12 @@ class ProvisioningService {
   /// std::out_of_range, and a failed batch rethrows its error.
   BatchedInferenceEngine::SubmitResult try_decide(SessionId id, Decision& out);
 
-  /// Pooled async decision: like decide_async but on the engine's
-  /// recycled-completion-token path, so pipelined async decides perform
-  /// zero steady-state heap allocations (audited by bench_serve_soak).
-  /// kOk arms `out`; rejection/drain leave it invalid. Served-decision
-  /// accounting (and journaling) runs in the engine's completion hook,
-  /// exactly like decide_async.
+  /// Async decision on the session's current history over the engine's
+  /// recycled completion tokens: zero steady-state heap allocations
+  /// (audited by bench_serve_soak). kOk arms `out`; rejection/drain leave
+  /// it invalid. Every decide call lands here, and served-decision
+  /// accounting and journaling run only in the session's completion hook
+  /// on the engine thread, before `out` is released.
   BatchedInferenceEngine::SubmitResult try_decide_async(SessionId id, AsyncDecision& out);
   /// Throwing convenience over try_decide_async (BackpressureRejected on
   /// a full queue, std::runtime_error when draining).
@@ -215,9 +211,9 @@ class ProvisioningService {
   std::size_t evict_expired();
   ServiceReport report() const;
 
-  /// Prometheus text exposition: service counters/gauges, engine batch and
-  /// latency stats (latency quantiles as a summary block), followed by the
-  /// process-wide obs registry dump (span histograms, scenario counters).
+  /// Prometheus text exposition: service counters/gauges and engine batch
+  /// stats, followed by the process-wide obs registry dump (the decision
+  /// latency histogram, span histograms, scenario counters).
   /// This is the scrape endpoint body for an HTTP layer above the service.
   std::string metrics_text() const;
 
@@ -239,9 +235,15 @@ class ProvisioningService {
   bool wal_failed() const { return wal_failed_.load(std::memory_order_relaxed); }
 
  private:
-  struct Session {
-    Session(SessionId sid, std::size_t k, std::size_t partition_count)
-        : id(sid), encoder(k, partition_count) {}
+  /// A session is its own completion hook: the engine calls on_served()
+  /// for each of its served decisions, and the hook's shared_ptr pins the
+  /// session while a request is in flight.
+  struct Session final : CompletionHook {
+    Session(const ProvisioningService& svc, SessionId sid, std::size_t k,
+            std::size_t partition_count)
+        : service(svc), id(sid), encoder(k, partition_count) {}
+    void on_served(const Decision& d) override { service.record_served(*this, d); }
+    const ProvisioningService& service;
     const SessionId id;  ///< immutable; lets completion hooks journal by id
     mutable std::mutex mutex;
     rl::StateEncoder encoder;
@@ -250,8 +252,8 @@ class ProvisioningService {
   };
 
   /// One shard: its own lock, session map and counters. The counters are
-  /// relaxed atomics so the engine-thread completion callback and the
-  /// blocking decide path never serialize on a shard (or global) mutex.
+  /// relaxed atomics so the engine-thread completion hook never
+  /// serializes on a shard (or global) mutex.
   struct Shard {
     mutable std::mutex mutex;
     std::map<SessionId, std::shared_ptr<Session>> sessions;
@@ -279,12 +281,7 @@ class ProvisioningService {
   /// (the sweeper's quiet-streak backoff input).
   std::size_t sweep_shard_idle_aware(Shard& shard, bool* skipped = nullptr) const;
   void sweeper_loop();
-  void record_served(Shard& shard, Session& session, const Decision& d) const;
-  /// Engine-thread completion hook for the pooled async path: ctx_a is
-  /// the service, ctx_b the owning shard, ctx_c the session (pinned by
-  /// the token's keepalive).
-  static void pooled_served_trampoline(void* ctx_a, void* ctx_b, void* ctx_c,
-                                       std::uint64_t request_id, const Decision& d);
+  void record_served(Session& session, const Decision& d) const;
   // --- Session journaling (no-ops when ServiceWalConfig::dir is empty).
   // Lock order: session/shard mutex -> wal_mutex_; the WAL never takes a
   // session or shard lock. Appends are allocation-free in steady state

@@ -3,9 +3,12 @@
 // tracing-cannot-perturb-results contract on the sweep harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
+#include "serve/service.hpp"
 #include "util/time_utils.hpp"
 
 namespace mirage::obs {
@@ -74,9 +78,10 @@ TEST(Metrics, HistogramCountsSumsAndBucketsSamples) {
   EXPECT_LT(h.percentile(25.0), 0.01);
   EXPECT_GT(h.percentile(75.0), 0.5);
   EXPECT_LE(h.percentile(50.0), h.percentile(90.0));
+  const Histogram::Snapshot snap = h.snapshot();
   std::uint64_t bucketed = 0;
   for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-    bucketed += h.bucket(i);
+    bucketed += snap.counts[i];
     if (i > 0) {
       EXPECT_LT(Histogram::bucket_upper_seconds(i - 1), Histogram::bucket_upper_seconds(i));
     }
@@ -100,18 +105,67 @@ TEST(Metrics, HistogramConcurrentRecordsAreExact) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Metrics, ReservoirPercentilesAreExactUnderCapacity) {
-  ReservoirHistogram r(1024);
-  for (int i = 1; i <= 100; ++i) r.record(static_cast<double>(i));
-  const auto s = r.snapshot();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.0, 1.0);
-  EXPECT_NEAR(s.p95, 95.0, 1.0);
-  EXPECT_NEAR(s.p99, 99.0, 1.0);
-  EXPECT_EQ(s.max, 100.0);
-  r.reset();
-  EXPECT_EQ(r.snapshot().count, 0u);
+TEST(Metrics, LogLinearPercentilesLandWithinTheBucketBound) {
+  // A known spread: 100k samples log-uniform over 50 us .. 5 s, so every
+  // quantile falls in a different octave region. Each interpolated
+  // estimate must land within 7% of the exact order statistic.
+  Histogram h;
+  std::vector<double> samples;
+  constexpr int kN = 100000;
+  for (int i = 0; i < kN; ++i) {
+    const double x = 50e-6 * std::pow(1e5, (i + 0.5) / kN);
+    samples.push_back(x);
+    h.record(x);
+  }
+  std::sort(samples.begin(), samples.end());
+  const Histogram::Snapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kN));
+  for (const double q : {50.0, 95.0, 99.0, 99.9}) {
+    const auto rank = static_cast<std::size_t>(std::ceil(q / 100.0 * kN));
+    const double exact = samples[rank - 1];
+    EXPECT_NEAR(snap.percentile(q), exact, 0.07 * exact) << "p" << q;
+  }
+  // The exported octave edges are exactly today's 1 us .. 2^31 us bounds.
+  for (std::size_t octave = 0; octave + 1 < Histogram::kOctaves; ++octave) {
+    const std::size_t edge = octave * Histogram::kSubBuckets + Histogram::kSubBuckets - 1;
+    EXPECT_EQ(Histogram::bucket_upper_seconds(edge),
+              static_cast<double>(1ull << octave) * 1e-6);
+  }
+  EXPECT_TRUE(std::isinf(Histogram::bucket_upper_seconds(Histogram::kBuckets - 1)));
+}
+
+TEST(Metrics, HistogramSumKeepsSubMicrosecondPrecision) {
+  Histogram h;
+  for (int i = 0; i < 1000; ++i) h.record(1.5e-6);
+  EXPECT_NEAR(h.sum(), 1.5e-3, 1e-12);
+  EXPECT_NEAR(h.mean(), 1.5e-6, 1e-15);
+  Histogram tiny;
+  for (int i = 0; i < 1000; ++i) tiny.record(0.25e-6);
+  EXPECT_NEAR(tiny.sum(), 0.25e-3, 1e-12);
+}
+
+TEST(Metrics, OutOfRangeSamplesStayCountedFiniteAndLintable) {
+  MetricsRegistry reg;
+  Histogram* h = reg.histogram("edge_latency_seconds", "edge cases");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  h->record(inf, 1);
+  h->record(1e300, 2);
+  h->record(nan, 3);
+  h->record(-1.0, 4);
+  h->record(1e-3);
+  const Histogram::Snapshot snap = h->snapshot();
+  EXPECT_EQ(snap.count, 5u);
+  EXPECT_EQ(snap.counts[0], 2u);                      // NaN and -1
+  EXPECT_EQ(snap.counts[Histogram::kBuckets - 1], 2u);  // +inf and 1e300
+  EXPECT_TRUE(std::isfinite(snap.sum));
+  for (const double q : {0.0, 25.0, 50.0, 99.0, 100.0}) {
+    EXPECT_TRUE(std::isfinite(snap.percentile(q))) << "p" << q;
+  }
+  std::string error;
+  const std::string text = reg.to_prometheus();
+  EXPECT_TRUE(lint_prometheus_exposition(text, &error)) << error << "\n" << text;
+  EXPECT_NE(text.find("edge_latency_seconds_count 5"), std::string::npos) << text;
 }
 
 TEST(Metrics, RegistryHandlesAreStableAndPrometheusExportIsStructured) {
@@ -191,9 +245,29 @@ TEST(Metrics, LintAcceptsRegistryExposition) {
   EXPECT_NE(text.find("trace_id=\"1234\""), std::string::npos) << text;
 }
 
+/// Allocation-free servable stub: action = sign of the first feature.
+struct SignModel : serve::ServableModel {
+  explicit SignModel(std::size_t dim)
+      : ServableModel({"lint", "dqn", "moe"}, info(dim), "<stub>", 1, nullptr, nullptr) {}
+  static core::CheckpointInfo info(std::size_t dim) {
+    core::CheckpointInfo i;
+    i.history_len = 1;
+    i.state_dim = dim;
+    return i;
+  }
+  void infer_into(const std::vector<std::vector<float>>& observations,
+                  std::vector<serve::Decision>& out) const override {
+    out.resize(observations.size());
+    for (std::size_t i = 0; i < observations.size(); ++i) {
+      out[i].action = observations[i][0] > 0.0f ? 1 : 0;
+    }
+  }
+};
+
 TEST(Metrics, ScrapesTakenDuringRecordsAlwaysLint) {
   // A scrape runs concurrently with record() on live traffic. Each one
-  // must be self-consistent: the +Inf bucket equals _count.
+  // must be self-consistent: the +Inf bucket equals _count, and every
+  // snapshot's count is its bucket total with percentiles monotone in q.
   MetricsRegistry reg;
   Histogram* h = reg.histogram("torn_latency_seconds", "latency under load");
   std::atomic<bool> stop{false};
@@ -206,17 +280,69 @@ TEST(Metrics, ScrapesTakenDuringRecordsAlwaysLint) {
     });
   }
   int failures = 0;
+  int torn_snapshots = 0;
   std::string first_error;
   for (int scrape = 0; scrape < 2000; ++scrape) {
     std::string error;
     if (!lint_prometheus_exposition(reg.to_prometheus(), &error)) {
       if (failures++ == 0) first_error = error;
     }
+    const Histogram::Snapshot snap = h->snapshot();
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : snap.counts) total += c;
+    bool ok = total == snap.count;
+    double prev = 0.0;
+    for (const double q : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      const double v = snap.percentile(q);
+      ok = ok && v >= prev;
+      prev = v;
+    }
+    torn_snapshots += ok ? 0 : 1;
   }
   stop = true;
   for (auto& t : recorders) t.join();
   EXPECT_EQ(failures, 0) << first_error;
+  EXPECT_EQ(torn_snapshots, 0);
   EXPECT_GT(h->count(), 0u);
+
+  // The serve exposition (service families + the process registry with
+  // the decision-latency histogram) must lint while clients decide.
+  serve::ServiceConfig cfg;
+  cfg.history_len = 1;
+  cfg.shards = 2;
+  cfg.engine.use_thread_pool = false;
+  cfg.engine.coalesce_wait = std::chrono::microseconds(0);
+  serve::ProvisioningService service(
+      std::make_shared<const SignModel>(rl::kFrameDim), cfg);
+  service.start();
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> served{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      sim::StateSample sample;
+      sample.total_nodes = 8;
+      sample.free_nodes = 3;
+      const serve::SessionId id = service.open_session();
+      service.observe(id, sample, rl::JobPairContext{});
+      while (!done.load(std::memory_order_relaxed)) {
+        service.decide(id);
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  int serve_failures = 0;
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    std::string error;
+    if (!lint_prometheus_exposition(service.metrics_text(), &error)) {
+      if (serve_failures++ == 0) first_error = error;
+    }
+  }
+  done = true;
+  for (auto& t : clients) t.join();
+  service.drain_and_stop();
+  EXPECT_EQ(serve_failures, 0) << first_error;
+  EXPECT_GT(served.load(), 0u);
 }
 
 TEST(Metrics, LintAcceptsHandwrittenSummaryAndExemplars) {

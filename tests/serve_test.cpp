@@ -347,18 +347,23 @@ TEST(InferenceEngine, BatchesQueuedRequestsInOneTick) {
   BatchedInferenceEngine engine(registry, {"v100", "dqn", "moe"}, cfg);
 
   // Queue before starting: the first tick must coalesce all of them.
+  decision_latency_histogram().reset();
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  std::vector<std::future<Decision>> futures;
-  for (int i = 0; i < 10; ++i) futures.push_back(engine.submit(std::vector<float>(dim, 0.1f)));
+  std::vector<AsyncDecision> handles(10);
+  for (auto& handle : handles) {
+    std::vector<float> obs(dim, 0.1f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   engine.start();
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  for (auto& handle : handles) EXPECT_NO_THROW(handle.get());
   engine.drain();
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.requests, 10u);
   EXPECT_EQ(stats.max_batch, 10u);
   EXPECT_EQ(stats.ticks, 1u);
-  EXPECT_EQ(stats.latency.count, 10u);
+  // Each served decision is recorded exactly once.
+  EXPECT_EQ(decision_latency_histogram().snapshot().count, 10u);
 }
 
 TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
@@ -370,12 +375,19 @@ TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
   BatchedInferenceEngine engine(registry, {"v100", "dqn", "moe"});
   engine.start();
 
+  struct ThrowingHook : CompletionHook {
+    void on_served(const Decision&) override { throw std::logic_error("callback boom"); }
+  };
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  auto bad = engine.submit(std::vector<float>(dim, 0.1f),
-                           [](const Decision&) { throw std::logic_error("callback boom"); });
+  std::vector<float> obs(dim, 0.1f);
+  AsyncDecision bad;
+  ASSERT_EQ(engine.submit_pooled(obs, bad, std::make_shared<ThrowingHook>()),
+            BatchedInferenceEngine::SubmitResult::kOk);
   EXPECT_THROW(bad.get(), std::logic_error);
   // Engine thread survives and keeps serving.
-  auto good = engine.submit(std::vector<float>(dim, 0.2f));
+  obs.assign(dim, 0.2f);
+  AsyncDecision good;
+  ASSERT_EQ(engine.submit_pooled(obs, good), BatchedInferenceEngine::SubmitResult::kOk);
   EXPECT_NO_THROW(good.get());
   engine.drain();
 }
@@ -383,8 +395,10 @@ TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
 TEST(InferenceEngine, NoModelFailsTheBatch) {
   BatchedInferenceEngine engine([] { return ModelSnapshot(); });
   engine.start();
-  auto fut = engine.submit(std::vector<float>(4, 0.0f));
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  std::vector<float> obs(4, 0.0f);
+  AsyncDecision handle;
+  ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  EXPECT_THROW(handle.get(), std::runtime_error);
   engine.drain();
 }
 
@@ -398,8 +412,10 @@ TEST(InferenceEngine, SubmitAfterDrainIsRejected) {
   engine.start();
   engine.drain();
   EXPECT_FALSE(engine.accepting());
-  auto fut = engine.submit(std::vector<float>(4, 0.0f));
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  std::vector<float> obs(4, 0.0f);
+  AsyncDecision handle;
+  EXPECT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kDraining);
+  EXPECT_FALSE(handle.valid());
 }
 
 TEST(InferenceEngine, BoundedQueueRejectsWithBackpressure) {
@@ -416,23 +432,26 @@ TEST(InferenceEngine, BoundedQueueRejectsWithBackpressure) {
 
   // Engine not started: the ring fills deterministically.
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  std::vector<std::future<Decision>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(engine.submit(std::vector<float>(dim, 0.1f)));
+  std::vector<AsyncDecision> queued(4);
+  for (auto& handle : queued) {
+    std::vector<float> obs(dim, 0.1f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   EXPECT_EQ(engine.queue_depth(), 4u);
 
-  auto over = engine.submit(std::vector<float>(dim, 0.1f));
-  EXPECT_THROW(over.get(), BackpressureRejected);
-
-  Decision out;
-  std::vector<float> obs(dim, 0.2f);
-  EXPECT_EQ(engine.try_decide_blocking(obs, out),
-            BatchedInferenceEngine::SubmitResult::kRejectedBackpressure);
-  EXPECT_EQ(obs.size(), dim);  // rejected submission hands the buffer back
+  for (int i = 0; i < 2; ++i) {
+    std::vector<float> obs(dim, 0.2f);
+    AsyncDecision over;
+    EXPECT_EQ(engine.submit_pooled(obs, over),
+              BatchedInferenceEngine::SubmitResult::kRejectedBackpressure);
+    EXPECT_FALSE(over.valid());
+    EXPECT_EQ(obs.size(), dim);  // rejected submission hands the buffer back
+  }
   EXPECT_EQ(engine.stats().rejected, 2u);
 
   // The queued four are unharmed and get served once the engine runs.
   engine.start();
-  for (auto& f : queued) EXPECT_NO_THROW(f.get());
+  for (auto& handle : queued) EXPECT_NO_THROW(handle.get());
   engine.drain();
   EXPECT_EQ(engine.stats().requests, 4u);
 }
@@ -447,12 +466,16 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   cfg.use_thread_pool = false;
   BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
 
-  std::vector<std::future<Decision>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine.submit(std::vector<float>(4, 1.0f)));
+  decision_latency_histogram().reset();
+  std::vector<AsyncDecision> handles(3);
+  for (auto& handle : handles) {
+    std::vector<float> obs(4, 1.0f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   engine.start();
-  for (auto& f : futures) {
+  for (auto& handle : handles) {
     try {
-      f.get();
+      handle.get();
       FAIL() << "truncated batch must fail";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
@@ -462,7 +485,7 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.requests, 3u);
   // Latency reflects SERVED decisions only — the failed batch recorded none.
-  EXPECT_EQ(stats.latency.count, 0u);
+  EXPECT_EQ(decision_latency_histogram().snapshot().count, 0u);
 }
 
 // ------------------------------------------- Pooled async path (ISSUE 10)
@@ -784,6 +807,7 @@ TEST(ProvisioningService, MetricsTextExposesPrometheusCountersAndLatency) {
   ServiceConfig cfg;
   cfg.history_len = test_net().history_len;
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
+  decision_latency_histogram().reset();
   service.start();
   const SessionId id = service.open_session();
   for (std::size_t t = 0; t < 5; ++t) {
@@ -796,9 +820,14 @@ TEST(ProvisioningService, MetricsTextExposesPrometheusCountersAndLatency) {
   EXPECT_NE(text.find("# TYPE mirage_serve_decisions_total counter"), std::string::npos) << text;
   EXPECT_NE(text.find("mirage_serve_decisions_total 5"), std::string::npos) << text;
   EXPECT_NE(text.find("mirage_serve_sessions_total 1"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds{quantile=\"0.999\"}"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds_count 5"), std::string::npos);
+  // Latency is the one decision histogram: 5 served decisions, each
+  // recorded once, with the octave bounds up to +Inf.
+  EXPECT_NE(text.find("# TYPE mirage_serve_decision_latency_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("mirage_serve_decision_latency_seconds_bucket{le=\"+Inf\"} 5"),
+            std::string::npos);
+  EXPECT_NE(text.find("mirage_serve_decision_latency_seconds_count 5"), std::string::npos);
+  EXPECT_EQ(text.find("mirage_serve_latency_seconds"), std::string::npos);
   EXPECT_NE(text.find("mirage_serve_session_shards"), std::string::npos);
   EXPECT_NE(text.find("mirage_serve_rejected_backpressure_total 0"), std::string::npos);
   // The service exposition appends the process-wide obs registry, so span
@@ -823,15 +852,14 @@ TEST(ProvisioningService, GracefulDrainCompletesInFlight) {
 
   // Queue decisions while the engine thread is not yet running, then start
   // and immediately drain: every queued request must still be answered.
-  std::vector<std::future<Decision>> in_flight;
-  for (int i = 0; i < 20; ++i) in_flight.push_back(service.decide_async(id));
+  std::vector<AsyncDecision> in_flight;
+  for (int i = 0; i < 20; ++i) in_flight.push_back(service.decide_async_pooled(id));
   service.start();
   service.drain_and_stop();
-  for (auto& f : in_flight) EXPECT_NO_THROW(f.get());
+  for (auto& handle : in_flight) EXPECT_NO_THROW(handle.get());
 
   // After the drain new work is rejected, loudly.
-  auto rejected = service.decide_async(id);
-  EXPECT_THROW(rejected.get(), std::runtime_error);
+  EXPECT_THROW((void)service.decide_async_pooled(id), std::runtime_error);
 }
 
 TEST(ProvisioningService, UnknownAndClosedSessionsThrow) {
@@ -883,7 +911,7 @@ TEST(ProvisioningService, DecideThrowsBackpressureWhenEngineSaturated) {
   // Deliberately not started: the single queue slot stays occupied.
   const SessionId id = service.open_session();
   service.observe(id, make_sample(0, 0), make_ctx(0));
-  auto parked = service.decide_async(id);  // fills the only slot
+  auto parked = service.decide_async_pooled(id);  // fills the only slot
 
   EXPECT_THROW(service.decide(id), BackpressureRejected);
   Decision out;
@@ -1190,8 +1218,8 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
   std::vector<SessionId> pool;
 
   // Workers mix every session-layer operation on a shared id pool while
-  // the TTL sweeper runs hot: open, observe, future-based and pooled
-  // async decides, blocking decide and close all race across shards. The invariants are (a) no
+  // the TTL sweeper runs hot: open, observe, both async decide calls,
+  // blocking decide and close all race across shards. The invariants are (a) no
   // crash/UB, (b) the only session-level failure is std::out_of_range,
   // (c) served-decision accounting balances exactly.
   const auto worker = [&](unsigned seed) {
@@ -1215,7 +1243,7 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
         if (pick < 5) {
           service.observe(id, make_sample(id, 0), make_ctx(id));
         } else if (pick == 5) {
-          // Pooled async path races the future-based one below.
+          // The non-throwing async call races the throwing one below.
           AsyncDecision handle;
           if (service.try_decide_async(id, handle) ==
               BatchedInferenceEngine::SubmitResult::kOk) {
@@ -1223,7 +1251,7 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
             served.fetch_add(1, std::memory_order_relaxed);
           }
         } else if (pick < 8) {
-          service.decide_async(id).get();
+          service.decide_async_pooled(id).get();
           served.fetch_add(1, std::memory_order_relaxed);
         } else if (pick == 8) {
           Decision d;
@@ -1270,9 +1298,9 @@ TEST(ProvisioningService, CloseSessionRacesInFlightDecide) {
 
   // Close while the decision is (likely) still queued: the session object
   // is kept alive by the in-flight request, which completes normally.
-  auto fut = service.decide_async(id);
+  auto pending = service.decide_async_pooled(id);
   service.close_session(id);
-  EXPECT_NO_THROW(fut.get());
+  EXPECT_NO_THROW(pending.get());
   service.drain_and_stop();
   EXPECT_EQ(service.report().decisions, 1u);
   EXPECT_EQ(service.session_count(), 0u);
