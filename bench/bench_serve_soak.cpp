@@ -15,9 +15,10 @@
 //                  (every decision of phases 2-3) with the p99 bounded by
 //                  `p99_limit_ms`;
 //   4. TTL       — the cold sessions (everything outside the hot set) sit
-//                  idle past `ttl` and must be reaped by the lazy check +
-//                  one-shard-per-tick background sweeper (+ a final
-//                  explicit sweep), evictions >= sessions - hot;
+//                  idle past `ttl` and must be reaped by the background
+//                  sweeper alone (it pops each shard's expired list heads
+//                  and sleeps until the next expiry), evictions >=
+//                  sessions - hot;
 //   5. backpressure — a deliberately slow model behind a tiny bounded
 //                  queue must reject a burst with BackpressureRejected,
 //                  never grow the queue without bound.
@@ -143,7 +144,6 @@ int main(int argc, char** argv) {
   cfg.history_len = k;
   cfg.shards = shards;
   cfg.session_ttl_seconds = ttl;
-  cfg.sweep_interval_seconds = cli.get_double("sweep_interval", 0.01);
   cfg.engine.max_batch = static_cast<std::size_t>(cli.get_int("max_batch", 256));
   cfg.engine.coalesce_wait = std::chrono::microseconds(cli.get_int("coalesce_us", 100));
   cfg.engine.max_queue = static_cast<std::size_t>(cli.get_int("max_queue", 8192));
@@ -152,8 +152,9 @@ int main(int argc, char** argv) {
   cfg.engine.use_thread_pool = false;
   // SLO evaluation live during the audit: generous objectives that a
   // healthy soak never breaches, so the sweeper ticks the full evaluate
-  // path every interval without state transitions (the allocation-free
-  // steady case). The deliberate breach runs against its own service.
+  // path without state transitions (the allocation-free steady case)
+  // every min(0.1 s, short window / 10) = 0.1 s. The deliberate breach
+  // runs against its own service.
   cfg.slo.enabled = true;
   cfg.slo.latency_target_seconds = 30.0;
   cfg.slo.latency_quantile = 99.0;
@@ -305,18 +306,16 @@ int main(int argc, char** argv) {
 
   // ---- phase 4: TTL eviction of the cold fleet ---------------------------
   // Cold sessions were last touched when opened; once the TTL has passed,
-  // the lazy check + background sweeper + one explicit sweep must reap
-  // them all. (The hot set may expire too once the pacing stops — the
-  // gate is on the cold majority.)
+  // the background sweeper alone must reap them all: nothing here touches
+  // or sweeps them. (The hot set may expire too once the pacing stops —
+  // the gate is on the cold majority.)
   const double ttl_deadline = open_end + ttl + 0.5;
   while (util::wall_seconds() < ttl_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  service.evict_expired();
   const auto evict_wait_deadline = util::wall_seconds() + 10.0;
   while (service.session_count() > hot && util::wall_seconds() < evict_wait_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    service.evict_expired();
   }
   const auto report = service.report();
   std::printf("ttl         %llu evictions, %zu sessions remain\n",
@@ -481,11 +480,10 @@ int main(int argc, char** argv) {
     breach_cfg.engine.max_batch = 8;
     breach_cfg.engine.coalesce_wait = std::chrono::microseconds(0);
     breach_cfg.engine.use_thread_pool = false;
-    breach_cfg.sweep_interval_seconds = 0.02;
     breach_cfg.slo.enabled = true;
     breach_cfg.slo.latency_target_seconds = 1e-6;  // unmeetable on purpose
     breach_cfg.slo.latency_quantile = 50.0;
-    breach_cfg.slo.short_window_seconds = 0.2;
+    breach_cfg.slo.short_window_seconds = 0.2;  // sweeper tick = 0.2 / 10 = 0.02 s
     breach_cfg.slo.long_window_seconds = 0.5;
     breach_cfg.slo.pending_seconds = 0.0;
     breach_cfg.slo.resolve_seconds = 60.0;

@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   const std::string flight_dir = cli.get_string("flight_dir", "flight_demo");
   if (cli.get_int("slo", 1) != 0) {
     svc_cfg.slo.enabled = true;
-    svc_cfg.sweep_interval_seconds = 0.02;
     if (force_breach) {
       // Unmeetable latency objective: every decision is "bad", both burn
       // windows saturate, the alert must fire mid-traffic and the fire

@@ -117,14 +117,8 @@ std::string FlightRecorder::dump(const std::string& reason) {
   fs::create_directories(bundle_dir, ec);
   if (ec) return "";
 
-  // Snapshot the global trace with recording paused: the gate stops new
-  // events racing the copy (fully quiescent rings additionally need the
-  // workload stopped — snapshot()'s standing caveat).
-  TraceRing& ring = global_trace();
-  const bool was_recording = ring.recording();
-  ring.set_recording(false);
-  std::vector<TraceEvent> events = ring.snapshot();
-  ring.set_recording(was_recording);
+  // snapshot() is safe against live traffic recording into the ring.
+  std::vector<TraceEvent> events = global_trace().snapshot();
   if (events.size() > config_.max_events) {
     events.erase(events.begin(),
                  events.end() - static_cast<std::ptrdiff_t>(config_.max_events));

@@ -135,13 +135,19 @@ std::size_t SloEngine::evaluate(double now_seconds) {
     slo.burn_short = burn_over_window(slo, now, slo.spec.short_window_seconds);
     slo.burn_long = burn_over_window(slo, now, slo.spec.long_window_seconds);
 
-    // Append the snapshot (overwrite-oldest past capacity; no allocation).
+    // Store the snapshot only once the newest stored one is a ring
+    // spacing old, so the ring always spans the long window however often
+    // evaluate() runs (overwrite-oldest past capacity; no allocation).
     const std::size_t slot = (slo.ring_head + slo.ring_size) % kRingCapacity;
-    slo.ring[slot] = now;
-    if (slo.ring_size < kRingCapacity) {
-      ++slo.ring_size;
-    } else {
-      slo.ring_head = (slo.ring_head + 1) % kRingCapacity;
+    const double spacing = slo.spec.long_window_seconds / (kRingCapacity - 1);
+    if (slo.ring_size == 0 ||
+        now.ts - slo.ring[(slot + kRingCapacity - 1) % kRingCapacity].ts >= spacing) {
+      slo.ring[slot] = now;
+      if (slo.ring_size < kRingCapacity) {
+        ++slo.ring_size;
+      } else {
+        slo.ring_head = (slo.ring_head + 1) % kRingCapacity;
+      }
     }
 
     const bool condition = slo.burn_short >= slo.spec.burn_threshold &&

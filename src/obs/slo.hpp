@@ -145,7 +145,8 @@ class SloEngine {
     SloSpec spec;
     double effective_budget = 0.01;
     std::size_t first_bad_bucket = 0;  ///< latency: buckets >= this are bad
-    // Preallocated snapshot ring (overwrites oldest past kRingCapacity).
+    // Preallocated snapshot ring (overwrites oldest past kRingCapacity),
+    // samples at least long_window / (kRingCapacity - 1) apart.
     std::vector<Sample> ring;
     std::size_t ring_head = 0;   ///< oldest live sample
     std::size_t ring_size = 0;

@@ -26,20 +26,35 @@ const char* trace_event_kind_name(TraceEventKind k) {
   return "?";
 }
 
-TraceRing::TraceRing(std::size_t capacity) : events_(capacity ? capacity : 1) {}
+TraceRing::TraceRing(std::size_t capacity) : slots_(capacity ? capacity : 1) {}
 
 std::vector<TraceEvent> TraceRing::snapshot() const {
   const std::uint64_t n = recorded();
-  const std::size_t cap = events_.size();
+  const std::size_t cap = slots_.size();
   std::vector<TraceEvent> out;
   if (n == 0) return out;
   const std::size_t kept = n < cap ? static_cast<std::size_t>(n) : cap;
   out.reserve(kept);
   const std::uint64_t first = n < cap ? 0 : n - cap;
   for (std::uint64_t i = first; i < n; ++i) {
-    out.push_back(events_[static_cast<std::size_t>(i % cap)]);
+    const Slot& slot = slots_[static_cast<std::size_t>(i % cap)];
+    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
+    if (seq != 2 * i + 2) continue;  // not yet written, mid-write or overwritten
+    std::uint64_t words[kWords];
+    for (std::size_t w = 0; w < kWords; ++w) {
+      words[w] = slot.words[w].load(std::memory_order_relaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;  // torn
+    TraceEvent& ev = out.emplace_back();
+    std::memcpy(&ev, words, sizeof ev);
   }
   return out;
+}
+
+void TraceRing::clear() {
+  for (Slot& slot : slots_) slot.seq.store(0, std::memory_order_relaxed);
+  cursor_.store(0, std::memory_order_relaxed);
 }
 
 TraceRing& global_trace() {

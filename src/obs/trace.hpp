@@ -14,8 +14,9 @@
 //
 // Rings are fixed-capacity and overwrite the oldest events when full (the
 // recorded total keeps counting, so exporters report drops). record() is a
-// relaxed atomic slot claim plus a struct store — no locks, no heap, so
-// instrumented steady-state loops stay allocation-free.
+// relaxed atomic slot claim plus a seqlocked slot write — no locks, no
+// heap, so instrumented steady-state loops stay allocation-free — and
+// snapshot() may run while writers record: it returns only whole events.
 //
 // Event names are `const char*` and must point at static storage
 // (literals); the ring stores the pointer, not a copy.
@@ -31,6 +32,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,12 @@ struct TraceEvent {
 /// Fixed-capacity multi-writer ring. record() never allocates; the buffer
 /// is sized at construction (or attach time) and old events are
 /// overwritten once `capacity` is exceeded.
+///
+/// Each slot is a seqlock: ticket t (the writer's cursor value) moves the
+/// slot's sequence from even to 2t+1, stores the event's words, then
+/// publishes 2t+2. snapshot() keeps event i only if the sequence reads
+/// 2i+2 before and after the copy. A writer that finds the slot odd (the
+/// ring wrapped within one write) drops its event.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity = 1 << 14);
@@ -84,26 +92,48 @@ class TraceRing {
 
   void record(const TraceEvent& ev) {
     if (!recording()) return;
-    const std::uint64_t slot = cursor_.fetch_add(1, std::memory_order_relaxed);
-    events_[static_cast<std::size_t>(slot % events_.size())] = ev;
+    const std::uint64_t ticket = cursor_.fetch_add(1, std::memory_order_relaxed);
+    Slot& slot = slots_[static_cast<std::size_t>(ticket % slots_.size())];
+    std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+    if ((seq & 1) != 0 || !slot.seq.compare_exchange_strong(seq, 2 * ticket + 1,
+                                                            std::memory_order_acquire,
+                                                            std::memory_order_relaxed)) {
+      return;
+    }
+    std::atomic_thread_fence(std::memory_order_release);
+    std::uint64_t words[kWords];
+    std::memcpy(words, &ev, sizeof ev);
+    for (std::size_t w = 0; w < kWords; ++w) {
+      slot.words[w].store(words[w], std::memory_order_relaxed);
+    }
+    slot.seq.store(2 * ticket + 2, std::memory_order_release);
   }
 
-  std::size_t capacity() const { return events_.size(); }
+  std::size_t capacity() const { return slots_.size(); }
   /// Total events recorded since the last clear (may exceed capacity).
   std::uint64_t recorded() const { return cursor_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const {
     const std::uint64_t n = recorded();
-    return n > events_.size() ? n - events_.size() : 0;
+    return n > slots_.size() ? n - slots_.size() : 0;
   }
 
-  /// Events in recording order (oldest surviving first). Not safe against
-  /// concurrent record(); snapshot after the workload quiesces.
+  /// Events in recording order (oldest surviving first). Safe against
+  /// concurrent record(): slots being written or overwritten during the
+  /// copy are left out.
   std::vector<TraceEvent> snapshot() const;
 
-  void clear() { cursor_.store(0, std::memory_order_relaxed); }
+  /// Forget every event. Not safe against concurrent record().
+  void clear();
 
  private:
-  std::vector<TraceEvent> events_;
+  static constexpr std::size_t kWords = sizeof(TraceEvent) / sizeof(std::uint64_t);
+  static_assert(sizeof(TraceEvent) % sizeof(std::uint64_t) == 0);
+  struct Slot {
+    std::atomic<std::uint64_t> seq{0};  ///< 2t+1 while ticket t writes, 2t+2 after
+    std::atomic<std::uint64_t> words[kWords] = {};  ///< the TraceEvent's bytes
+  };
+
+  std::vector<Slot> slots_;
   std::atomic<std::uint64_t> cursor_{0};
   std::atomic<bool> recording_{true};
 };

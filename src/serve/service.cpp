@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -26,23 +27,12 @@ std::size_t resolve_shards(std::size_t configured) {
 
 obs::Counter& sweeper_wakeups_counter() {
   static obs::Counter* c = obs::registry().counter(
-      "mirage_serve_sweeper_wakeups_total", "background sweeper ticks");
+      "mirage_serve_sweeper_wakeups_total", "background sweeper wakeups");
   return *c;
 }
 
-obs::Counter& sweeper_skipped_counter() {
-  static obs::Counter* c = obs::registry().counter(
-      "mirage_serve_sweeper_skipped_total",
-      "sweep scans skipped by the idle-aware cadence");
-  return *c;
-}
-
-obs::Counter& sweeper_stretches_counter() {
-  static obs::Counter* c = obs::registry().counter(
-      "mirage_serve_sweeper_stretches_total",
-      "sweeper wakeup-interval doublings on quiet tables");
-  return *c;
-}
+/// Sweeper tick cadence without SLOs: the group-commit flush interval.
+constexpr double kTickSeconds = 0.1;
 
 // Session-journal record encodings (all little-endian; RecordReader
 // bounds-checks replay so a foreign or truncated payload is skipped, not
@@ -86,12 +76,9 @@ void ProvisioningService::init_gauges() {
         reg.gauge("mirage_serve_shard_sessions_" + std::to_string(i),
                   "live sessions owned by shard " + std::to_string(i)));
   }
-  // Register the sweeper's counters now: their first bump can land inside
-  // a zero-allocation window (the first idle-skipped scan only happens
-  // once evictions shrink a shard), and registration allocates.
+  // Register the sweeper's counter now: its first bump can land inside a
+  // zero-allocation window, and registration allocates.
   sweeper_wakeups_counter();
-  sweeper_skipped_counter();
-  sweeper_stretches_counter();
 }
 
 void ProvisioningService::configure_slos() {
@@ -153,7 +140,7 @@ void ProvisioningService::start() {
   }
   // With journaling at a group-commit sync level the sweeper doubles as
   // the commit tick: it flushes the WAL buffer (and rolls segments) every
-  // interval, bounding the un-flushed crash-exposure window.
+  // tick, bounding the un-flushed crash-exposure window.
   const bool need_sweeper = config_.session_ttl_seconds > 0.0 ||
                             slos_configured_.load(std::memory_order_relaxed) ||
                             (wal_on_ && config_.wal.wal.sync != util::wal::SyncLevel::kOnCommit);
@@ -194,13 +181,14 @@ SessionId ProvisioningService::open_session() {
   const SessionId id = next_session_.fetch_add(1, std::memory_order_relaxed);
   auto session = std::make_shared<Session>(*this, id, config_.history_len,
                                            std::max<std::size_t>(1, config_.partition_count));
-  session->last_access_seconds.store(util::wall_seconds(), std::memory_order_relaxed);
   // Journal BEFORE the map insert: nothing (not even the sweeper) can
   // touch the id until it is in the table, so the open record is
   // guaranteed to precede every other record for this session.
   journal_open(id);
   Shard& shard = shard_of(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
+  session->last_access_seconds = util::wall_seconds();  // under the lock: list order
+  shard.link_newest(*session);
   shard.sessions.emplace(id, std::move(session));
   ++shard.total_sessions;
   return id;
@@ -211,7 +199,9 @@ void ProvisioningService::close_session(SessionId id) {
   bool erased = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    erased = shard.sessions.erase(id) > 0;
+    const auto it = shard.sessions.find(id);
+    erased = it != shard.sessions.end();
+    if (erased) shard.erase(it);
   }
   if (erased) journal_close(id);
 }
@@ -219,132 +209,79 @@ void ProvisioningService::close_session(SessionId id) {
 std::shared_ptr<ProvisioningService::Session> ProvisioningService::find_session(
     SessionId id) const {
   Shard& shard = shard_of(id);
-  const bool ttl_on = config_.session_ttl_seconds > 0.0;
-  const double now = ttl_on ? util::wall_seconds() : 0.0;
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.sessions.find(id);
   if (it == shard.sessions.end()) throw_unknown_session(id);
-  if (ttl_on) {
-    const double last = it->second->last_access_seconds.load(std::memory_order_relaxed);
-    if (now - last > config_.session_ttl_seconds) {
+  std::shared_ptr<Session> session = it->second;
+  if (config_.session_ttl_seconds > 0.0) {
+    // Read under the lock, so racing touches append in clock order.
+    const double now = util::wall_seconds();
+    if (now - session->last_access_seconds > config_.session_ttl_seconds) {
       // Lazy expiry: reap on touch, then report it exactly like a closed
       // session so a late observe/decide fails loudly instead of serving
       // a zombie ring.
-      shard.sessions.erase(it);
+      shard.erase(it);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
       journal_evict(id);
       throw_unknown_session(id);
     }
-    it->second->last_access_seconds.store(now, std::memory_order_relaxed);
+    session->last_access_seconds = now;
+    shard.unlink(*session);
+    shard.link_newest(*session);
   }
-  return it->second;
+  return session;
 }
 
-std::size_t ProvisioningService::sweep_shard(Shard& shard) const {
-  if (config_.session_ttl_seconds <= 0.0) return 0;
-  const double now = util::wall_seconds();
-  std::size_t evicted = 0;
+double ProvisioningService::pop_expired(Shard& shard, double now, std::size_t* evicted) const {
+  const double ttl = config_.session_ttl_seconds;
+  std::size_t popped = 0;
   std::lock_guard<std::mutex> lock(shard.mutex);
-  double earliest_last = std::numeric_limits<double>::infinity();
-  for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
-    const double last = it->second->last_access_seconds.load(std::memory_order_relaxed);
-    if (now - last > config_.session_ttl_seconds) {
-      journal_evict(it->first);
-      it = shard.sessions.erase(it);
-      ++evicted;
-    } else {
-      earliest_last = std::min(earliest_last, last);
-      ++it;
-    }
+  while (shard.oldest && now - shard.oldest->last_access_seconds > ttl) {
+    const SessionId id = shard.oldest->id;
+    shard.erase(shard.sessions.find(id));
+    journal_evict(id);
+    ++popped;
   }
-  // Refresh the idle hint: nothing surviving this scan can expire before
-  // earliest_last + ttl, sessions opened later expire later still, and a
-  // touch only pushes expiry out — so skipping until then is safe.
-  shard.sweep_hint_valid = true;
-  shard.last_sweep_size = shard.sessions.size();
-  shard.next_expiry_hint = shard.sessions.empty()
-                               ? std::numeric_limits<double>::infinity()
-                               : earliest_last + config_.session_ttl_seconds;
-  if (evicted) shard.evictions.fetch_add(evicted, std::memory_order_relaxed);
-  return evicted;
-}
-
-std::size_t ProvisioningService::sweep_shard_idle_aware(Shard& shard, bool* skipped) const {
-  if (skipped) *skipped = false;
-  if (config_.session_ttl_seconds <= 0.0) return 0;
-  const double now = util::wall_seconds();
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Quiet-table fast path: unchanged size at or below the idle
-    // threshold, and the earliest possible expiry still ahead — a scan
-    // would provably evict nothing, so the tick costs a size check.
-    if (shard.sweep_hint_valid && shard.sessions.size() == shard.last_sweep_size &&
-        shard.sessions.size() <= config_.sweep_idle_threshold &&
-        now < shard.next_expiry_hint) {
-      sweep_skipped_.fetch_add(1, std::memory_order_relaxed);
-      sweeper_skipped_counter().add();
-      if (skipped) *skipped = true;
-      return 0;
-    }
-  }
-  return sweep_shard(shard);
+  if (popped) shard.evictions.fetch_add(popped, std::memory_order_relaxed);
+  if (evicted) *evicted += popped;
+  return shard.oldest ? shard.oldest->last_access_seconds + ttl : now + ttl;
 }
 
 void ProvisioningService::sweeper_loop() {
-  const double base_seconds = std::max(1e-4, config_.sweep_interval_seconds);
+  constexpr double kNever = std::numeric_limits<double>::infinity();
   const bool ttl_on = config_.session_ttl_seconds > 0.0;
-  const double max_factor = std::max(1.0, config_.sweep_backoff_max_factor);
-  double backoff = 1.0;        ///< current interval multiplier
-  std::size_t quiet_streak = 0;  ///< consecutive hint-skipped ticks
-  std::unique_lock<std::mutex> lock(sweeper_mutex_);
-  while (!sweeper_stop_) {
-    const auto interval = std::chrono::duration<double>(base_seconds * backoff);
-    if (sweeper_cv_.wait_for(lock, interval, [this] { return sweeper_stop_; })) break;
-    // Amortized background expiry: one shard per tick, round-robin, so
-    // sweep cost stays O(sessions / shards) per wakeup no matter how
-    // large the table grows (lazy expiry covers touched sessions).
-    std::size_t cursor = 0;
+  const bool slos_on = slos_configured_.load(std::memory_order_acquire);
+  const bool group_commit =
+      wal_on_ && config_.wal.wal.sync != util::wal::SyncLevel::kOnCommit;
+  // The tick carries the SLO evaluate (10 samples per short window), the
+  // gauge refresh and the group commit; a TTL-only service has no tick.
+  const double tick = slos_on ? std::min(kTickSeconds, config_.slo.short_window_seconds / 10.0)
+                      : group_commit ? kTickSeconds
+                                     : kNever;
+  double next_tick = util::wall_seconds() + tick;
+  for (;;) {
+    const double now = util::wall_seconds();
+    double next_expiry = kNever;
     if (ttl_on) {
-      cursor = sweep_cursor_;
-      sweep_cursor_ = (sweep_cursor_ + 1) % shards_.size();
+      for (auto& shard : shards_) next_expiry = std::min(next_expiry, pop_expired(shard, now));
     }
-    lock.unlock();
+    if (now >= next_tick) {
+      // All allocation-free in steady state, so the thread can run inside
+      // the soak bench's zero-allocation audit window. At sync levels
+      // below kOnCommit the tick is the journal's flush and segment-roll
+      // point, so a crash loses at most one tick of buffered records.
+      if (slos_on) slos_.evaluate(now);
+      refresh_gauges();
+      if (group_commit) journal_commit();
+      next_tick = now + tick;
+    }
+    // start() runs the sweeper only with TTL or a tick, so this is finite.
+    const std::chrono::duration<double> timeout(std::min(next_tick, next_expiry) -
+                                                util::wall_seconds());
+    std::unique_lock<std::mutex> lock(sweeper_mutex_);
+    if (sweeper_cv_.wait_for(lock, timeout, [this] { return sweeper_stop_; })) break;
     sweep_wakeups_.fetch_add(1, std::memory_order_relaxed);
     sweeper_wakeups_counter().add();
-    bool skipped = false;
-    if (ttl_on) sweep_shard_idle_aware(shards_[cursor], &skipped);
-    // The sweeper doubles as the SLO evaluator and gauge-refresh tick —
-    // both allocation-free in steady state, so the thread can run inside
-    // the soak bench's zero-allocation audit window.
-    const bool slos_on = slos_configured_.load(std::memory_order_acquire);
-    if (slos_on) slos_.evaluate(util::wall_seconds());
-    refresh_gauges();
-    // Group commit: at sync levels below kOnCommit the sweeper tick is
-    // the journal's flush point (and segment-roll point), so a crash
-    // loses at most one tick's worth of buffered records.
-    if (wal_on_ && config_.wal.wal.sync != util::wal::SyncLevel::kOnCommit) {
-      journal_commit();
-    }
-    // Quiet-table backoff, pure-TTL configurations only: with SLOs
-    // configured the evaluator needs its steady base cadence. Once every
-    // shard in a full rotation has declined its scan via the min-expiry
-    // hint, the table is provably quiet until the earliest hint, so the
-    // wakeup interval doubles (bounded); the first real scan — any
-    // activity invalidates a hint — snaps it back to base.
-    if (ttl_on && !slos_on && max_factor > 1.0) {
-      if (skipped) {
-        ++quiet_streak;
-        if (quiet_streak % shards_.size() == 0 && backoff < max_factor) {
-          backoff = std::min(max_factor, backoff * 2.0);
-          sweep_stretches_.fetch_add(1, std::memory_order_relaxed);
-          sweeper_stretches_counter().add();
-        }
-      } else {
-        quiet_streak = 0;
-        backoff = 1.0;
-      }
-    }
-    lock.lock();
   }
 }
 
@@ -368,8 +305,10 @@ void ProvisioningService::refresh_gauges() const {
 }
 
 std::size_t ProvisioningService::evict_expired() {
+  if (config_.session_ttl_seconds <= 0.0) return 0;
+  const double now = util::wall_seconds();
   std::size_t evicted = 0;
-  for (auto& shard : shards_) evicted += sweep_shard(shard);
+  for (auto& shard : shards_) pop_expired(shard, now, &evicted);
   return evicted;
 }
 
@@ -567,8 +506,10 @@ void ProvisioningService::replay_wal() {
   }
   const double now = util::wall_seconds();
   for (auto& [id, session] : live) {
-    session->last_access_seconds.store(now, std::memory_order_relaxed);
-    shard_of(id).sessions.emplace(id, std::move(session));
+    Shard& shard = shard_of(id);
+    session->last_access_seconds = now;
+    shard.link_newest(*session);
+    shard.sessions.emplace(id, std::move(session));
   }
   info.replayed = true;
   info.sessions = live.size();
@@ -684,8 +625,6 @@ ServiceReport ProvisioningService::report() const {
     r.evictions += shard.evictions.load(std::memory_order_relaxed);
   }
   r.sweep_wakeups = sweep_wakeups_.load(std::memory_order_relaxed);
-  r.sweep_skipped = sweep_skipped_.load(std::memory_order_relaxed);
-  r.sweep_stretches = sweep_stretches_.load(std::memory_order_relaxed);
   r.engine = engine_.stats();
   const double started = started_seconds_.load();
   if (started > 0.0) {

@@ -17,10 +17,11 @@
 //
 // Idle sessions are evicted by TTL (session_ttl_seconds > 0): lazily on
 // access — a lookup that finds an expired session erases it and throws
-// std::out_of_range, exactly like a closed session — plus an amortized
-// background sweep that scans ONE shard per tick (the lazy + background
-// expiry split of snkv's ttl-support design), so a million abandoned
-// sessions cost one shard-sized scan per sweep interval, not a stall.
+// std::out_of_range, exactly like a closed session — plus a background
+// sweeper. The TTL is uniform and a touch only pushes expiry later, so
+// each shard keeps its sessions in an intrusive list in access order,
+// which is also expiry order: the sweeper pops expired heads in
+// O(expired) and sleeps until the earliest head can expire.
 //
 // Backpressure: the engine queue is bounded (EngineConfig::max_queue);
 // when the engine saturates, decide paths fail fast with
@@ -87,7 +88,8 @@ struct WalRestoreInfo {
 /// latency-quantile objective over the process-wide decision-latency
 /// histogram and a reject-rate objective over the served/rejected
 /// counters, and the sweeper thread ticks the burn-rate evaluator every
-/// sweep interval. health_text() renders the verdicts.
+/// min(0.1 s, short_window_seconds / 10), so each short window holds at
+/// least 10 samples. health_text() renders the verdicts.
 struct ServiceSloConfig {
   bool enabled = false;
   /// "p<latency_quantile> of decisions under latency_target_seconds".
@@ -118,24 +120,9 @@ struct ServiceConfig {
   std::size_t shards = 0;
   /// Evict sessions idle (no open/observe/decide/history access) longer
   /// than this; 0 disables eviction. Expired sessions behave exactly like
-  /// closed ones: any access throws std::out_of_range.
+  /// closed ones: any access throws std::out_of_range. The background
+  /// sweeper wakes when the earliest session can expire, not on a timer.
   double session_ttl_seconds = 0.0;
-  /// Background sweep cadence; each tick scans one shard round-robin.
-  double sweep_interval_seconds = 0.1;
-  /// Idle-aware sweep cadence (ISSUE 8): a shard whose session count is
-  /// unchanged since its last full scan, at or below this threshold, and
-  /// whose earliest possible expiry (tracked per scan) is still in the
-  /// future is SKIPPED — quiet tables cost a size check per tick, not a
-  /// scan. Skips and wakeups are counted in the report and the registry.
-  std::size_t sweep_idle_threshold = 1024;
-  /// Quiet-table wakeup backoff: when a full round-robin rotation of
-  /// shards skips its scan via the min-expiry hint, the sweeper doubles
-  /// its wakeup interval, up to sweep_interval_seconds * this factor;
-  /// any non-skipped scan snaps it back to the base cadence. <= 1
-  /// disables stretching. Only active in pure-TTL configurations — with
-  /// SLOs configured the sweeper doubles as the SLO evaluator and must
-  /// hold its base cadence.
-  double sweep_backoff_max_factor = 8.0;
   EngineConfig engine;
   ServiceSloConfig slo;
   ServiceWalConfig wal;
@@ -148,9 +135,9 @@ struct ServiceReport {
   std::uint64_t decisions = 0;
   std::uint64_t submits = 0;       ///< decisions that said "submit now"
   std::uint64_t evictions = 0;     ///< sessions reaped by the idle TTL
-  std::uint64_t sweep_wakeups = 0; ///< background sweeper ticks
-  std::uint64_t sweep_skipped = 0; ///< ticks skipped by idle-aware cadence
-  std::uint64_t sweep_stretches = 0; ///< quiet-streak wakeup-interval doublings
+  /// Times the background sweeper woke: at a session expiry, or at the
+  /// SLO/group-commit tick when either is configured. Never on a poll.
+  std::uint64_t sweep_wakeups = 0;
   EngineStats engine;
   double uptime_seconds = 0.0;
   double decisions_per_second = 0.0;
@@ -205,9 +192,9 @@ class ProvisioningService {
   std::size_t session_frames_seen(SessionId id) const;
 
   std::size_t session_count() const;
-  /// Sweep every shard now, evicting expired sessions; returns the number
+  /// Evict every shard's expired sessions now; returns the number
   /// evicted. Test hook — production relies on the lazy check plus the
-  /// background one-shard-per-tick sweeper.
+  /// background sweeper.
   std::size_t evict_expired();
   ServiceReport report() const;
 
@@ -248,38 +235,61 @@ class ProvisioningService {
     mutable std::mutex mutex;
     rl::StateEncoder encoder;
     std::atomic<std::uint64_t> decisions{0};
-    std::atomic<double> last_access_seconds{0.0};
+    // Guarded by the owning shard's mutex: the access-order list links
+    // and the last open/touch instant (util::wall_seconds).
+    Session* older = nullptr;
+    Session* newer = nullptr;
+    double last_access_seconds = 0.0;
   };
 
   /// One shard: its own lock, session map and counters. The counters are
   /// relaxed atomics so the engine-thread completion hook never
   /// serializes on a shard (or global) mutex.
+  ///
+  /// Every mapped session is also on an intrusive list in access order
+  /// (guarded by mutex). The clock is read under the mutex when a session
+  /// is linked or touched, so stamps never decrease from oldest to newest:
+  /// with one TTL for all sessions the list is in expiry order.
   struct Shard {
+    using Map = std::map<SessionId, std::shared_ptr<Session>>;
     mutable std::mutex mutex;
-    std::map<SessionId, std::shared_ptr<Session>> sessions;
+    Map sessions;
+    Session* oldest = nullptr;  ///< the next session to expire
+    Session* newest = nullptr;  ///< the most recently accessed session
     std::uint64_t total_sessions = 0;  ///< guarded by mutex
     std::atomic<std::uint64_t> decisions{0};
     std::atomic<std::uint64_t> submits{0};
     std::atomic<std::uint64_t> evictions{0};
-    // Idle-aware sweep hint (guarded by mutex): the table size after the
-    // last full scan and the earliest instant any session seen then could
-    // expire. Sessions opened or touched later expire strictly later, so
-    // "now < next_expiry_hint" proves a skipped scan would evict nothing.
-    bool sweep_hint_valid = false;
-    std::size_t last_sweep_size = 0;
-    double next_expiry_hint = 0.0;
+
+    void link_newest(Session& s) {
+      s.older = newest;
+      s.newer = nullptr;
+      (newest ? newest->newer : oldest) = &s;
+      newest = &s;
+    }
+    void unlink(Session& s) {
+      (s.older ? s.older->newer : oldest) = s.newer;
+      (s.newer ? s.newer->older : newest) = s.older;
+      s.older = s.newer = nullptr;
+    }
+    void erase(Map::iterator it) {
+      unlink(*it->second);
+      sessions.erase(it);
+    }
   };
 
   Shard& shard_of(SessionId id) const { return shards_[id % shards_.size()]; }
   /// Locate a live session; refresh its TTL clock. Expired sessions are
   /// erased here (lazy expiry) and reported exactly like closed ones.
   std::shared_ptr<Session> find_session(SessionId id) const;
-  std::size_t sweep_shard(Shard& shard) const;
-  /// One background tick's sweep of `shard`: consult the idle hint, skip
-  /// or full-scan, refresh the hint. Returns evictions (0 on skip);
-  /// `skipped`, when non-null, reports whether the hint declined the scan
-  /// (the sweeper's quiet-streak backoff input).
-  std::size_t sweep_shard_idle_aware(Shard& shard, bool* skipped = nullptr) const;
+  /// Evict and journal the shard's expired list heads, O(expired); adds
+  /// the count to `*evicted` when non-null. Returns the instant the
+  /// shard's next session can expire (now + TTL when it is empty: a
+  /// session opened later cannot expire sooner). TTL must be on.
+  double pop_expired(Shard& shard, double now, std::size_t* evicted = nullptr) const;
+  /// Sleeps until the earliest of the next tick and the next expiry; each
+  /// wake pops every shard's expired sessions, then runs the tick work
+  /// (SLO evaluate, gauges, group commit) once the tick is due.
   void sweeper_loop();
   void record_served(Session& session, const Decision& d) const;
   // --- Session journaling (no-ops when ServiceWalConfig::dir is empty).
@@ -320,8 +330,6 @@ class ProvisioningService {
   bool providers_registered_ = false;  ///< guarded by sweeper_mutex_
 
   std::atomic<std::uint64_t> sweep_wakeups_{0};
-  mutable std::atomic<std::uint64_t> sweep_skipped_{0};  ///< bumped in const sweeps
-  std::atomic<std::uint64_t> sweep_stretches_{0};  ///< backoff doublings
   // Live operational gauges (registered once at construction; refreshed
   // on sweeper ticks and by metrics_text()).
   obs::Gauge* queue_depth_gauge_ = nullptr;
@@ -336,7 +344,6 @@ class ProvisioningService {
   std::mutex sweeper_mutex_;
   std::condition_variable sweeper_cv_;
   bool sweeper_stop_ = false;
-  std::size_t sweep_cursor_ = 0;  ///< next shard the background sweep scans
 
   // Session journal (ISSUE 10). wal_on_ is set once in the constructor
   // and never changes; the writer itself is guarded by wal_mutex_ (and

@@ -439,6 +439,41 @@ TEST(Trace, DisabledRingRecordsNothing) {
   EXPECT_EQ(ring.recorded(), 1u);
 }
 
+TEST(Trace, SnapshotDuringRecordsReturnsOnlyWholeEvents) {
+  // A small ring wraps constantly, so snapshots keep meeting slots that a
+  // recorder is rewriting. Every event returned must be one whole record.
+  TraceRing ring(64);
+  std::atomic<bool> stop{false};
+  const auto recorder = [&](std::int64_t first, std::uint32_t tid) {
+    for (std::int64_t i = first; !stop.load(std::memory_order_relaxed); ++i) {
+      TraceEvent ev;
+      ev.ts = i;
+      ev.dur = i;
+      ev.arg0 = i;
+      ev.arg1 = ~i;
+      ev.tid = tid;
+      ring.record(ev);
+    }
+  };
+  std::thread a(recorder, 0, 1u);
+  std::thread b(recorder, std::int64_t{1} << 40, 2u);
+  while (ring.recorded() < 2 * ring.capacity()) std::this_thread::yield();
+  std::uint64_t seen = 0, torn = 0;
+  for (int s = 0; s < 1000; ++s) {
+    for (const auto& ev : ring.snapshot()) {
+      ++seen;
+      const bool whole = ev.arg1 == ~ev.arg0 && ev.ts == ev.arg0 && ev.dur == ev.arg0 &&
+                         ev.tid == (ev.arg0 < (std::int64_t{1} << 40) ? 1u : 2u);
+      if (!whole) ++torn;
+    }
+  }
+  stop.store(true);
+  a.join();
+  b.join();
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(torn, 0u);
+}
+
 TEST(Trace, ChromeJsonExportValidatesAndCoversEveryKind) {
   TraceRing ring(64);
   const TraceEventKind kinds[] = {
@@ -680,6 +715,33 @@ TEST(Slo, LatencyQuantileObjectiveCountsBadBuckets) {
   // The registry carries the live alert instruments.
   EXPECT_EQ(registry().gauge("mirage_slo_lat_state")->value(), 2.0);
   EXPECT_EQ(registry().counter("mirage_slo_lat_fires_total")->value(), 1u);
+}
+
+TEST(Slo, LongWindowKeepsAnOldBurstAtAFineEvaluateCadence) {
+  Counter bad, good;
+  SloEngine engine;
+  SloSpec spec;
+  spec.name = "fine_cadence";
+  spec.kind = SloKind::kErrorRate;
+  spec.bad = &bad;
+  spec.good = &good;
+  spec.budget = 0.01;
+  spec.short_window_seconds = 60.0;
+  spec.long_window_seconds = 300.0;
+  engine.add(spec);
+
+  // Evaluate every 0.1 s for 110 s: a bad burst in the first 10 s, good
+  // traffic after. One stored sample per call would leave the ring
+  // spanning only the last 51.2 s, and the long window would lose the burst.
+  for (int i = 0; i <= 1100; ++i) {
+    (i < 100 ? bad : good).add(10);
+    engine.evaluate(i * 0.1);
+  }
+  const SloStatus st = engine.statuses()[0];
+  // Long window = everything since the first sample (bad 10 already in it):
+  // (990 / 11000) / 0.01 = 9.
+  EXPECT_NEAR(st.burn_long, 9.0, 1e-9);
+  EXPECT_EQ(st.burn_short, 0.0);  // the last 60 s were clean
 }
 
 // -------------------------------------------------------- flight recorder

@@ -20,6 +20,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
+#include "util/time_utils.hpp"
 
 namespace mirage::serve {
 namespace {
@@ -941,9 +942,9 @@ TEST(ProvisioningService, TtlEvictsIdleSessionsLazilyAndOnSweep) {
   cfg.history_len = test_net().history_len;
   cfg.shards = 4;
   cfg.session_ttl_seconds = 0.03;
-  cfg.sweep_interval_seconds = 100.0;  // background sweeper effectively off
+  // No start(): no background sweeper, so only the lazy check and the
+  // explicit evict_expired() below reap anything.
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
-  service.start();
 
   std::vector<SessionId> ids;
   for (int i = 0; i < 8; ++i) ids.push_back(service.open_session());
@@ -980,13 +981,12 @@ TEST(ProvisioningService, BackgroundSweeperReapsAbandonedSessions) {
   cfg.history_len = test_net().history_len;
   cfg.shards = 4;
   cfg.session_ttl_seconds = 0.02;
-  cfg.sweep_interval_seconds = 0.005;
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
   service.start();
   for (int i = 0; i < 12; ++i) service.open_session();
 
-  // Nobody ever touches these sessions again; the one-shard-per-tick
-  // background sweep alone must reap all of them.
+  // Nobody ever touches these sessions again; the background sweep alone
+  // must reap all of them.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (service.session_count() > 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -996,8 +996,8 @@ TEST(ProvisioningService, BackgroundSweeperReapsAbandonedSessions) {
   service.drain_and_stop();
 }
 
-TEST(ProvisioningService, IdleAwareSweeperSkipsQuietTablesButStillReaps) {
-  TempDir dir("idlesweep");
+TEST(ProvisioningService, SweeperSleepsUntilTheEarliestExpiry) {
+  TempDir dir("sweepsleep");
   auto agent = make_dqn(99);
   ASSERT_TRUE(core::save_agent(agent, dir.file("v100__dqn.ckpt")));
   ModelRegistry registry(test_registry_config());
@@ -1005,51 +1005,76 @@ TEST(ProvisioningService, IdleAwareSweeperSkipsQuietTablesButStillReaps) {
 
   ServiceConfig cfg;
   cfg.history_len = test_net().history_len;
-  cfg.shards = 1;  // every tick visits the same table
-  cfg.session_ttl_seconds = 0.06;
-  cfg.sweep_interval_seconds = 0.002;
-  cfg.sweep_idle_threshold = 1024;
+  cfg.shards = 1;
+  cfg.session_ttl_seconds = 0.06;  // no SLO, no journal: the sweeper has no tick
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
+  const double start = util::wall_seconds();
   service.start();
   for (int i = 0; i < 6; ++i) service.open_session();
 
-  // Quiet phase: nothing expires for 60ms, so after the first full scan
-  // establishes the expiry hint, ticks skip instead of rescanning.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto quiet = service.report();
-  EXPECT_GT(quiet.sweep_wakeups, 0u);
-  EXPECT_GT(quiet.sweep_skipped, 0u);
-  EXPECT_EQ(quiet.evictions, 0u);
-  // Every tick of this single-shard table declines its scan, so the
-  // sweeper stretches its wakeup interval (bounded backoff).
-  EXPECT_GT(quiet.sweep_stretches, 0u);
-
-  // The skip cadence must not delay actual expiry: once the hint passes,
-  // the sweeper rescans and reaps every abandoned session.
+  // Nothing can expire before start + ttl, so a sweeper that sleeps until
+  // the earliest expiry has not woken yet. The time is taken after each
+  // read, so a reader delayed past that point asserts nothing.
+  ServiceReport report = service.report();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (service.session_count() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (report.open_sessions > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    report = service.report();
+    if (util::wall_seconds() < start + cfg.session_ttl_seconds) {
+      EXPECT_EQ(report.sweep_wakeups, 0u);
+    }
   }
-  EXPECT_EQ(service.session_count(), 0u);
-  EXPECT_EQ(service.report().evictions, 6u);
-  EXPECT_GE(service.report().sweep_skipped, quiet.sweep_skipped);
+  // The background sweeper alone reaps every session, waking at most
+  // once per session plus once for the empty table it saw at start.
+  EXPECT_EQ(report.open_sessions, 0u);
+  EXPECT_EQ(report.evictions, 6u);
+  EXPECT_LE(report.sweep_wakeups, 7u);
   service.drain_and_stop();
+}
 
-  // Control: sweep_idle_threshold=0 disables skipping for non-empty
-  // tables — the same quiet phase full-scans every tick.
-  ServiceConfig busy_cfg = cfg;
-  busy_cfg.session_ttl_seconds = 10.0;
-  busy_cfg.sweep_idle_threshold = 0;
-  ProvisioningService busy(registry, {"v100", "dqn", "moe"}, busy_cfg);
-  busy.start();
-  for (int i = 0; i < 4; ++i) busy.open_session();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto report = busy.report();
-  EXPECT_GT(report.sweep_wakeups, 0u);
-  EXPECT_EQ(report.sweep_skipped, 0u);
-  // No skips means no quiet streak: the wakeup interval never stretches.
-  EXPECT_EQ(report.sweep_stretches, 0u);
-  busy.drain_and_stop();
+TEST(ProvisioningService, TouchedSessionOutlivesItsOlderNeighbours) {
+  TempDir dir("touchorder");
+  auto agent = make_dqn(99);
+  ASSERT_TRUE(core::save_agent(agent, dir.file("v100__dqn.ckpt")));
+  ModelRegistry registry(test_registry_config());
+  ASSERT_TRUE(registry.load_file(dir.file("v100__dqn.ckpt"), "v100").ok);
+
+  ServiceConfig cfg;
+  cfg.history_len = test_net().history_len;
+  cfg.shards = 1;  // A and B share one access-ordered list
+  cfg.session_ttl_seconds = 0.4;
+  const double ttl = cfg.session_ttl_seconds;
+  ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
+  service.start();
+  const SessionId a = service.open_session();
+  const SessionId b = service.open_session();
+  std::this_thread::sleep_for(std::chrono::duration<double>(ttl / 2));
+  // The touch moves A behind B: A now expires no earlier than touched + ttl.
+  const double touched = util::wall_seconds();
+  service.observe(a, make_sample(0, 0), make_ctx(0));
+
+  // B, now the list head, is reaped first by the sweeper alone, leaving A
+  // alone in the table for ttl/2; every read finished before A's own
+  // expiry still finds A live.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t count = 2;
+  bool saw_only_a = false;
+  while (count > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    count = service.session_count();
+    if (util::wall_seconds() < touched + ttl) {
+      EXPECT_GE(count, 1u);
+    }
+    if (count == 1 && !saw_only_a) {
+      saw_only_a = true;
+      EXPECT_EQ(service.report().evictions, 1u);
+      EXPECT_THROW(service.session_frames_seen(b), std::out_of_range);  // the survivor is A
+    }
+  }
+  EXPECT_TRUE(saw_only_a) << "A and B expired together: the touch did not reorder them";
+  EXPECT_EQ(count, 0u);
+  EXPECT_EQ(service.report().evictions, 2u);
+  service.drain_and_stop();
 }
 
 TEST(ProvisioningService, MetricsTextPassesLintAndCarriesLiveGauges) {
@@ -1149,7 +1174,6 @@ TEST(ProvisioningService, SloBreachFiresHealthEndpointAndFlightBundle) {
 
   ServiceConfig cfg;
   cfg.history_len = test_net().history_len;
-  cfg.sweep_interval_seconds = 0.005;
   cfg.slo.enabled = true;
   cfg.slo.latency_target_seconds = 1e-9;  // unmeetable: every decision is bad
   cfg.slo.latency_quantile = 50.0;
@@ -1205,7 +1229,6 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
   cfg.history_len = test_net().history_len;
   cfg.shards = 8;                    // force real sharding on any host
   cfg.session_ttl_seconds = 0.03;    // evictions race live traffic
-  cfg.sweep_interval_seconds = 0.005;
   cfg.engine.max_batch = 16;
   cfg.engine.coalesce_wait = std::chrono::microseconds(100);
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
@@ -1271,6 +1294,14 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   stop.store(true);
   for (auto& t : threads) t.join();
+
+  // With traffic stopped, the background sweeper alone empties the table
+  // once every session's TTL has passed.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.session_count() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(service.session_count(), 0u);
   service.drain_and_stop();
 
   const auto report = service.report();
