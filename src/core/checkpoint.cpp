@@ -36,16 +36,6 @@ bool save_impl(nn::DualHeadModel& model, const std::string& kind, nn::Foundation
   return static_cast<bool>(out);
 }
 
-bool load_impl(nn::DualHeadModel& model, const std::string& kind, nn::FoundationType type,
-               const nn::FoundationConfig& net, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  if (header != header_line(kind, type, net)) return false;
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return nn::deserialize_params(bytes, model.parameters());
-}
 }  // namespace
 
 bool save_agent(rl::DqnAgent& agent, const std::string& path) {
@@ -56,12 +46,23 @@ bool save_agent(rl::PgAgent& agent, const std::string& path) {
   return save_impl(agent.model(), "pg", agent.config().foundation, agent.config().net, path);
 }
 
+bool load_model(nn::DualHeadModel& model, const std::string& kind, nn::FoundationType type,
+                const nn::FoundationConfig& net, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::string header;
+  if (!std::getline(in, header)) return false;
+  if (header != header_line(kind, type, net)) return false;
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return nn::deserialize_params(bytes, model.parameters());
+}
+
 bool load_agent(rl::DqnAgent& agent, const std::string& path) {
-  return load_impl(agent.model(), "dqn", agent.config().foundation, agent.config().net, path);
+  return load_model(agent.model(), "dqn", agent.config().foundation, agent.config().net, path);
 }
 
 bool load_agent(rl::PgAgent& agent, const std::string& path) {
-  return load_impl(agent.model(), "pg", agent.config().foundation, agent.config().net, path);
+  return load_model(agent.model(), "pg", agent.config().foundation, agent.config().net, path);
 }
 
 std::optional<CheckpointInfo> read_checkpoint_info(const std::string& path) {

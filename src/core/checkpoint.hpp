@@ -34,6 +34,11 @@ bool save_agent(rl::PgAgent& agent, const std::string& path);
 bool load_agent(rl::DqnAgent& agent, const std::string& path);
 bool load_agent(rl::PgAgent& agent, const std::string& path);
 
+/// Load the parameters of a `kind` ("dqn" | "pg") checkpoint into a bare
+/// model built for (type, net); the same header check as load_agent.
+bool load_model(nn::DualHeadModel& model, const std::string& kind, nn::FoundationType type,
+                const nn::FoundationConfig& net, const std::string& path);
+
 /// Peek at a checkpoint's header without constructing an agent.
 std::optional<CheckpointInfo> read_checkpoint_info(const std::string& path);
 

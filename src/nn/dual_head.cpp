@@ -33,23 +33,10 @@ void DualHeadModel::backward_q(const Tensor& grad) {
   foundation_->backward(d);
 }
 
-Tensor DualHeadModel::infer_q(const Tensor& x) {
-  Tensor pooled = foundation_->infer(x);
-  return v_head_.forward(pooled, /*train=*/false);
-}
-
-Tensor DualHeadModel::infer_policy(const Tensor& x) {
-  Tensor pooled = foundation_->infer(x);
-  Tensor logits = p_head_.forward(pooled, /*train=*/false);
-  softmax_rows(logits);
-  return logits;
-}
-
 Tensor DualHeadModel::forward_policy(const Tensor& x, bool train) {
   Tensor pooled = foundation_->forward(x, train);
   Tensor logits = p_head_.forward(pooled, train);
   softmax_rows(logits);
-  cached_probs_ = logits;
   return logits;
 }
 
@@ -89,7 +76,5 @@ void DualHeadModel::copy_params_from(const DualHeadModel& other) {
     dst[i]->value = src[i]->value;
   }
 }
-
-std::size_t DualHeadModel::parameter_count() { return param_count(parameters()); }
 
 }  // namespace mirage::nn

@@ -32,13 +32,6 @@ class DualHeadModel {
   /// Backward for the last forward_policy; grad is dL/d(logits) [B,2].
   void backward_policy_logits(const Tensor& grad);
 
-  /// Serving-only forwards: bitwise-identical to forward_q /
-  /// forward_policy with train=false, but routed through
-  /// Foundation::infer so Top-1 MoE models skip non-selected experts
-  /// (the batched-serving fast path). No backward may follow.
-  Tensor infer_q(const Tensor& x);
-  Tensor infer_policy(const Tensor& x);
-
   /// All trainable parameters: foundation + both heads.
   std::vector<Parameter*> parameters();
   /// Parameters touched by Q-head training (foundation + V-head).
@@ -47,7 +40,7 @@ class DualHeadModel {
   std::vector<Parameter*> policy_parameters();
 
   /// Copy parameter values from a same-architecture model (target network
-  /// sync, rollout-worker snapshots).
+  /// sync, rollout workers).
   void copy_params_from(const DualHeadModel& other);
 
   /// Direct access to the policy head (e.g. to bias its initial logits: a
@@ -55,14 +48,11 @@ class DualHeadModel {
   /// rollout immediately and starves REINFORCE of contrast).
   Linear& policy_head() { return p_head_; }
 
-  std::size_t parameter_count();
-
  private:
   FoundationType type_;
   std::unique_ptr<Foundation> foundation_;
   Linear v_head_;
   Linear p_head_;
-  Tensor cached_probs_;  ///< softmax output of the last forward_policy
 };
 
 }  // namespace mirage::nn

@@ -10,42 +10,41 @@ namespace mirage::nn {
 
 TransformerEncoderLayer::TransformerEncoderLayer(std::size_t seq_len, std::size_t d_model,
                                                  std::size_t num_heads, std::size_t ffn_hidden,
-                                                 float dropout, util::Rng& rng,
-                                                 const std::string& name)
+                                                 util::Rng& rng, const std::string& name)
     : ln1_(d_model, name + ".ln1"),
       ln2_(d_model, name + ".ln2"),
       attn_(seq_len, d_model, num_heads, rng, name + ".attn"),
       ffn1_(d_model, ffn_hidden, rng, name + ".ffn1"),
-      ffn2_(ffn_hidden, d_model, rng, name + ".ffn2"),
-      drop1_(dropout, rng.split()),
-      drop2_(dropout, rng.split()) {}
+      ffn2_(ffn_hidden, d_model, rng, name + ".ffn2") {
+  // Two draws that once seeded dropout, kept so later init bits stay put.
+  rng.split();
+  rng.split();
+}
 
 Tensor TransformerEncoderLayer::forward(const Tensor& x, bool train) {
   // Pre-LN residual blocks keep gradients stable for shallow-but-trained-
   // from-scratch encoders.
   Tensor h = x;
-  h.add(drop1_.forward(attn_.forward(ln1_.forward(x, train), train), train));
+  h.add(attn_.forward(ln1_.forward(x, train), train));
   Tensor out = h;
-  out.add(drop2_.forward(ffn2_.forward(gelu_.forward(ffn1_.forward(ln2_.forward(h, train), train), train), train), train));
+  out.add(ffn2_.forward(gelu_.forward(ffn1_.forward(ln2_.forward(h, train), train), train), train));
   return out;
 }
 
 Tensor TransformerEncoderLayer::backward(const Tensor& grad_out) {
-  // FFN block: out = h + Drop(FFN(LN2(h)))
+  // FFN block: out = h + FFN(LN2(h))
   Tensor d_h = grad_out;
   {
-    Tensor d = drop2_.backward(grad_out);
-    d = ffn2_.backward(d);
+    Tensor d = ffn2_.backward(grad_out);
     d = gelu_.backward(d);
     d = ffn1_.backward(d);
     d = ln2_.backward(d);
     d_h.add(d);
   }
-  // Attention block: h = x + Drop(Attn(LN1(x)))
+  // Attention block: h = x + Attn(LN1(x))
   Tensor d_x = d_h;
   {
-    Tensor d = drop1_.backward(d_h);
-    d = attn_.backward(d);
+    Tensor d = attn_.backward(d_h);
     d = ln1_.backward(d);
     d_x.add(d);
   }
@@ -97,8 +96,8 @@ TransformerFoundation::TransformerFoundation(FoundationConfig config, std::uint6
   layers_.reserve(config.num_layers);
   for (std::size_t l = 0; l < config.num_layers; ++l) {
     layers_.push_back(std::make_unique<TransformerEncoderLayer>(
-        config.history_len, config.d_model, config.num_heads, config.ffn_hidden, config.dropout,
-        rng, name + ".layer" + std::to_string(l)));
+        config.history_len, config.d_model, config.num_heads, config.ffn_hidden, rng,
+        name + ".layer" + std::to_string(l)));
   }
 }
 
@@ -239,16 +238,13 @@ Tensor MoEFoundation::mean_frames(const Tensor& x) const {
 }
 
 Tensor MoEFoundation::forward(const Tensor& x, bool train) {
-  cached_k_ = config_.history_len * config_.state_dim;
-  cached_mean_frames_ = mean_frames(x);
-  Tensor logits = gate_.forward(cached_mean_frames_, train);
-  softmax_rows(logits);
-  gate_soft_ = logits;
-  gate_probs_ = logits;
+  Tensor soft = gate_.forward(mean_frames(x), train);
+  softmax_rows(soft);
+  Tensor probs = soft;
   if (config_.moe_top1) {
     // One-hot on the argmax expert (selection semantics of Top-1 routing).
-    for (std::size_t b = 0; b < gate_probs_.rows(); ++b) {
-      float* row = gate_probs_.row(b);
+    for (std::size_t b = 0; b < probs.rows(); ++b) {
+      float* row = probs.row(b);
       std::size_t best = 0;
       for (std::size_t e = 1; e < experts_.size(); ++e) {
         if (row[e] > row[best]) best = e;
@@ -257,64 +253,38 @@ Tensor MoEFoundation::forward(const Tensor& x, bool train) {
     }
   }
 
-  expert_out_.resize(experts_.size());
-  Tensor out(x.rows(), config_.d_model);
+  const std::size_t batch = x.rows();
+  if (train) expert_out_.resize(experts_.size());
+  Tensor out(batch, config_.d_model);
   for (std::size_t e = 0; e < experts_.size(); ++e) {
-    expert_out_[e] = experts_[e]->forward(x, train);
-    for (std::size_t b = 0; b < out.rows(); ++b) {
-      const float g = gate_probs_.at(b, e);
+    std::size_t routed = 0;
+    for (std::size_t b = 0; b < batch; ++b) routed += probs.at(b, e) != 0.0f;
+    // At inference an expert sees only its routed rows, gathered in row
+    // order; every row routed (or training) means no gather.
+    const bool gather = !train && routed < batch;
+    if (gather && routed == 0) continue;
+    Tensor eo;
+    if (gather) {
+      Tensor sub(routed, x.cols());
+      for (std::size_t b = 0, i = 0; b < batch; ++b) {
+        if (probs.at(b, e) != 0.0f) std::copy(x.row(b), x.row(b) + x.cols(), sub.row(i++));
+      }
+      eo = experts_[e]->forward(sub, /*train=*/false);
+    } else {
+      eo = experts_[e]->forward(x, train);
+    }
+    for (std::size_t b = 0, i = 0; b < batch; ++b) {
+      const float g = probs.at(b, e);
       if (g == 0.0f) continue;
       float* o = out.row(b);
-      const float* eo = expert_out_[e].row(b);
-      for (std::size_t c = 0; c < config_.d_model; ++c) o[c] += g * eo[c];
+      const float* eo_row = eo.row(gather ? i++ : b);
+      for (std::size_t c = 0; c < config_.d_model; ++c) o[c] += g * eo_row[c];
     }
+    if (train) expert_out_[e] = std::move(eo);
   }
-  return out;
-}
-
-Tensor MoEFoundation::infer(const Tensor& x) {
-  if (!config_.moe_top1) return forward(x, /*train=*/false);
-
-  // Route: argmax of the gate softmax, with forward()'s first-max
-  // tie-break, so routing matches the dense path exactly.
-  Tensor mean = mean_frames(x);
-  Tensor logits = gate_.forward(mean, /*train=*/false);
-  softmax_rows(logits);
-  const std::size_t batch = x.rows();
-  const std::size_t ne = experts_.size();
-  std::vector<std::size_t> route(batch);
-  std::vector<std::size_t> per_expert(ne, 0);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* row = logits.row(b);
-    std::size_t best = 0;
-    for (std::size_t e = 1; e < ne; ++e) {
-      if (row[e] > row[best]) best = e;
-    }
-    route[b] = best;
-    ++per_expert[best];
-  }
-
-  // Gather each expert's rows, run the expert once on its sub-batch, and
-  // scatter the pooled outputs back. Sub-batch rows are computed by the
-  // same per-row kernels as a full-batch forward, so outputs are bitwise
-  // equal to dense-evaluate-then-select.
-  Tensor out(batch, config_.d_model);
-  std::vector<std::size_t> rows;
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (per_expert[e] == 0) continue;
-    rows.clear();
-    rows.reserve(per_expert[e]);
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (route[b] == e) rows.push_back(b);
-    }
-    Tensor sub(rows.size(), x.cols());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::copy(x.row(rows[i]), x.row(rows[i]) + x.cols(), sub.row(i));
-    }
-    const Tensor sub_out = experts_[e]->forward(sub, /*train=*/false);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::copy(sub_out.row(i), sub_out.row(i) + config_.d_model, out.row(rows[i]));
-    }
+  if (train) {
+    gate_soft_ = std::move(soft);
+    gate_probs_ = std::move(probs);
   }
   return out;
 }
@@ -349,7 +319,7 @@ Tensor MoEFoundation::backward(const Tensor& grad_out) {
   Tensor d_mean = gate_.backward(d_logits);
 
   // Experts: each receives g_e-scaled output grad.
-  Tensor dx(batch, cached_k_);
+  Tensor dx(batch, config_.input_dim());
   for (std::size_t e = 0; e < ne; ++e) {
     Tensor d_out_e(batch, config_.d_model);
     bool any = false;

@@ -23,7 +23,6 @@ struct FoundationConfig {
   std::size_t num_heads = 2;
   std::size_t num_layers = 2;
   std::size_t ffn_hidden = 64;
-  float dropout = 0.0f;
   // MoE-only knobs.
   std::size_t moe_experts = 4;   ///< paper default 10
   bool moe_top1 = false;         ///< Top-1 sparse gate vs dense weighted average
@@ -37,18 +36,13 @@ class Foundation : public Module {
   virtual const FoundationConfig& config() const = 0;
   /// Deep copy (independent parameters and caches).
   virtual std::unique_ptr<Foundation> clone() const = 0;
-  /// Inference-only forward: bitwise-identical outputs to
-  /// forward(x, false), but free to skip backward bookkeeping and exploit
-  /// inference-only structure (see MoEFoundation's sparse Top-1 routing).
-  virtual Tensor infer(const Tensor& x) { return forward(x, /*train=*/false); }
 };
 
 /// Pre-LN transformer encoder layer: x += MHSA(LN(x)); x += FFN(LN(x)).
 class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(std::size_t seq_len, std::size_t d_model, std::size_t num_heads,
-                          std::size_t ffn_hidden, float dropout, util::Rng& rng,
-                          const std::string& name);
+                          std::size_t ffn_hidden, util::Rng& rng, const std::string& name);
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -59,7 +53,6 @@ class TransformerEncoderLayer : public Module {
   MultiHeadSelfAttention attn_;
   Linear ffn1_, ffn2_;
   GELU gelu_;
-  Dropout drop1_, drop2_;
 };
 
 class TransformerFoundation : public Foundation {
@@ -89,8 +82,14 @@ class TransformerFoundation : public Foundation {
 /// Mixture of transformer experts with a softmax gate over the mean frame
 /// (paper Eq. 7 / Fig 6). Dense mode combines all experts with the gate
 /// weights; Top-1 mode routes each sample to its argmax expert (selection
-/// semantics; experts are still evaluated densely on CPU — the sparse
-/// compute saving is an optimization the paper also found unnecessary).
+/// semantics).
+///
+/// Training evaluates every expert on every row: the straight-through
+/// gate gradient needs each expert's output. Inference runs an expert only
+/// on the rows its gate weight is nonzero for (every row under a dense
+/// gate, its routed rows under Top-1). Rows are independent in every
+/// expert kernel, so both give the same bits; Top-1 inference does about
+/// 1/E of the expert compute.
 class MoEFoundation : public Foundation {
  public:
   MoEFoundation(FoundationConfig config, std::uint64_t seed, const std::string& name = "moe");
@@ -103,16 +102,6 @@ class MoEFoundation : public Foundation {
   const FoundationConfig& config() const override { return config_; }
   std::unique_ptr<Foundation> clone() const override;
 
-  /// Top-1 serving evaluates ONLY each row's argmax expert: rows are
-  /// routed by the gate, gathered into per-expert sub-batches, and each
-  /// expert runs once over its rows — an ~E-fold compute saving over the
-  /// dense evaluate-then-select forward, with bitwise-identical outputs
-  /// (selection multiplies the winning expert by exactly 1.0). Dense-gate
-  /// configs fall back to forward(x, false). This is the optimization the
-  /// paper left on the table for training; batched online serving is
-  /// where it pays off (per-expert sub-batches stay large).
-  Tensor infer(const Tensor& x) override;
-
   std::size_t num_experts() const { return experts_.size(); }
 
  private:
@@ -123,12 +112,10 @@ class MoEFoundation : public Foundation {
   std::string name_;
   Linear gate_;
   std::vector<std::unique_ptr<TransformerFoundation>> experts_;
-  // Caches.
+  // Caches of the last forward(x, true).
   Tensor gate_probs_;               ///< [B, E] (post-softmax or one-hot)
   Tensor gate_soft_;                ///< [B, E] softmax (for top-1 backward)
   std::vector<Tensor> expert_out_;  ///< per expert: [B, d_model]
-  Tensor cached_mean_frames_;
-  std::size_t cached_k_ = 0;
 };
 
 enum class FoundationType { kTransformer, kMoE };

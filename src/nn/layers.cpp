@@ -46,25 +46,6 @@ void Linear::collect_params(std::vector<Parameter*>& out) {
   out.push_back(&b_);
 }
 
-// ------------------------------------------------------------------ ReLU
-
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  if (train) cached_input_ = x;
-  Tensor y = x;
-  for (float& v : y.flat()) v = v > 0.0f ? v : 0.0f;
-  return y;
-}
-
-Tensor ReLU::backward(const Tensor& grad_out) {
-  Tensor dx = grad_out;
-  const auto in = cached_input_.flat();
-  auto d = dx.flat();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (in[i] <= 0.0f) d[i] = 0.0f;
-  }
-  return dx;
-}
-
 // ------------------------------------------------------- tanh and GELU
 
 namespace {
@@ -251,23 +232,6 @@ Tensor GELU::backward(const Tensor& grad_out) {
   return dx;
 }
 
-// ------------------------------------------------------------------ Tanh
-
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  Tensor y(x.rows(), x.cols());
-  tanh(x.data(), y.data(), y.size());
-  if (train) cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  Tensor dx = grad_out;
-  const auto y = cached_output_.flat();
-  auto d = dx.flat();
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] *= (1.0f - y[i] * y[i]);
-  return dx;
-}
-
 // -------------------------------------------------------------- LayerNorm
 
 LayerNorm::LayerNorm(std::size_t dim, const std::string& name, float eps)
@@ -338,53 +302,6 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
 void LayerNorm::collect_params(std::vector<Parameter*>& out) {
   out.push_back(&gamma_);
   out.push_back(&beta_);
-}
-
-// ---------------------------------------------------------------- Dropout
-
-Dropout::Dropout(float p, util::Rng rng) : p_(p), rng_(rng) {}
-
-Tensor Dropout::forward(const Tensor& x, bool train) {
-  active_ = train && p_ > 0.0f;
-  if (!active_) return x;
-  mask_ = Tensor(x.rows(), x.cols());
-  Tensor y = x;
-  const float keep = 1.0f - p_;
-  const float scale = 1.0f / keep;
-  auto m = mask_.flat();
-  auto yv = y.flat();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m[i] = rng_.bernoulli(keep) ? scale : 0.0f;
-    yv[i] *= m[i];
-  }
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (!active_) return grad_out;
-  Tensor dx = grad_out;
-  dx.mul(mask_);
-  return dx;
-}
-
-// ------------------------------------------------------------- Sequential
-
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor cur = x;
-  for (auto& m : children_) cur = m->forward(cur, train);
-  return cur;
-}
-
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor cur = grad_out;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    cur = (*it)->backward(cur);
-  }
-  return cur;
-}
-
-void Sequential::collect_params(std::vector<Parameter*>& out) {
-  for (auto& m : children_) m->collect_params(out);
 }
 
 }  // namespace mirage::nn

@@ -1,14 +1,12 @@
-// Core layers: Linear, activations, LayerNorm, Dropout, Sequential.
+// Core layers: Linear, GELU, LayerNorm.
 #pragma once
-
-#include <memory>
 
 #include "nn/module.hpp"
 #include "nn/simd.hpp"
 
 namespace mirage::nn {
 
-// Elementwise kernels behind Tanh and GELU. `isa` pins the lane width
+// Elementwise kernels behind GELU. `isa` pins the lane width
 // (tests and benches run each one); every ISA gives the same bits.
 //
 // tanh is a branch-free, lane-parallel port of fdlibm's tanhf/expm1f (the
@@ -46,15 +44,6 @@ class Linear : public Module {
   Tensor cached_input_;
 };
 
-class ReLU : public Module {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_input_;
-};
-
 /// GELU with the tanh approximation (as in BERT/GPT).
 class GELU : public Module {
  public:
@@ -63,15 +52,6 @@ class GELU : public Module {
 
  private:
   Tensor cached_input_;
-};
-
-class Tanh : public Module {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_output_;
 };
 
 /// Per-row layer normalization with learned gain/bias.
@@ -89,37 +69,6 @@ class LayerNorm : public Module {
   Parameter gamma_, beta_;
   Tensor cached_norm_;     ///< normalized input (pre gain/bias)
   Tensor cached_inv_std_;  ///< 1/sigma per row
-};
-
-/// Inverted dropout; identity in eval mode. Deterministic given its RNG.
-class Dropout : public Module {
- public:
-  Dropout(float p, util::Rng rng);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  float p_;
-  util::Rng rng_;
-  Tensor mask_;
-  bool active_ = false;
-};
-
-/// Runs children in order; owns them.
-class Sequential : public Module {
- public:
-  Sequential() = default;
-
-  void add(std::unique_ptr<Module> m) { children_.push_back(std::move(m)); }
-  std::size_t size() const { return children_.size(); }
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_params(std::vector<Parameter*>& out) override;
-
- private:
-  std::vector<std::unique_ptr<Module>> children_;
 };
 
 }  // namespace mirage::nn

@@ -129,7 +129,7 @@ OnlineTrainReport train_dqn_online(DqnAgent& agent, const trace::Trace& full,
 
   while (episode_index < config.episodes) {
     const std::size_t n = std::min(config.episodes_per_round, config.episodes - episode_index);
-    // Snapshot the policy once per round; workers explore independently.
+    // Workers explore independently from this round's policy.
     std::vector<Rollout> rollouts(n);
     std::vector<SimTime> anchors(n);
     std::vector<util::Rng> rngs;
@@ -138,14 +138,12 @@ OnlineTrainReport train_dqn_online(DqnAgent& agent, const trace::Trace& full,
       anchors[i] = sample_anchor(rng, range_begin, range_end, episode_config);
       rngs.push_back(rng.split());
     }
-    DqnAgent snapshot(agent.config(), /*seed=*/1);
-    snapshot.model().copy_params_from(agent.model());
-
     auto run_one = [&](std::size_t i) {
       // Each worker needs its own model instance (forward caches are not
-      // thread-safe): clone from the snapshot.
-      DqnAgent worker(snapshot.config(), /*seed=*/1);
-      worker.model().copy_params_from(snapshot.model());
+      // thread-safe). Nothing writes `agent` until every rollout is back,
+      // so workers copy its parameters directly.
+      DqnAgent worker(agent.config(), /*seed=*/1);
+      worker.model().copy_params_from(agent.model());
       rollouts[i] = rollout_dqn(worker, full, cluster_nodes, episode_config, anchors[i],
                                 episode_index + i, config.max_no_submit_per_episode, rngs[i]);
     };
@@ -190,12 +188,9 @@ OnlineTrainReport train_pg_online(PgAgent& agent, const trace::Trace& full,
       anchors[i] = sample_anchor(rng, range_begin, range_end, episode_config);
       rngs.push_back(rng.split());
     }
-    PgAgent snapshot(agent.config(), /*seed=*/1);
-    snapshot.model().copy_params_from(agent.model());
-
     auto run_one = [&](std::size_t i) {
-      PgAgent worker(snapshot.config(), /*seed=*/1);
-      worker.model().copy_params_from(snapshot.model());
+      PgAgent worker(agent.config(), /*seed=*/1);
+      worker.model().copy_params_from(agent.model());
       rollouts[i] =
           rollout_pg(worker, full, cluster_nodes, episode_config, anchors[i], rngs[i]);
     };

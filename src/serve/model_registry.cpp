@@ -54,7 +54,7 @@ void ServableModel::infer_into(const std::vector<std::vector<float>>& observatio
       rl::set_action_channel(obs, k, kSubmitOrdinal);
       std::copy(obs.begin(), obs.end(), x.row(2 * i + 1));
     }
-    nn::Tensor q = dqn_->model().infer_q(x);
+    nn::Tensor q = model_->forward_q(x);
     for (std::size_t i = 0; i < batch; ++i) {
       out[i].score_wait = q.at(2 * i, 0);
       out[i].score_submit = q.at(2 * i + 1, 0);
@@ -70,7 +70,7 @@ void ServableModel::infer_into(const std::vector<std::vector<float>>& observatio
       rl::set_action_channel(obs, k, 0.0f);
       std::copy(obs.begin(), obs.end(), x.row(i));
     }
-    nn::Tensor probs = pg_->model().infer_policy(x);
+    nn::Tensor probs = model_->forward_policy(x);
     for (std::size_t i = 0; i < batch; ++i) {
       out[i].score_wait = probs.at(i, 0);
       out[i].score_submit = probs.at(i, 1);
@@ -129,7 +129,7 @@ ModelRegistry::LoadResult ModelRegistry::load_file(const std::string& path,
 
   // Header fields come from the checkpoint; depth/width knobs not covered
   // by the header come from the registry defaults. Any disagreement with
-  // the actual parameter shapes is caught by load_agent below.
+  // the actual parameter shapes is caught by load_model below.
   nn::FoundationConfig net = config_.net_defaults;
   net.history_len = info->history_len;
   net.state_dim = info->state_dim;
@@ -137,31 +137,16 @@ ModelRegistry::LoadResult ModelRegistry::load_file(const std::string& path,
   net.moe_experts = info->moe_experts;
   net.moe_top1 = info->moe_top1;  // select-vs-blend gate semantics
 
-  std::unique_ptr<rl::DqnAgent> dqn;
-  std::unique_ptr<rl::PgAgent> pg;
-  bool loaded = false;
-  if (info->kind == "dqn") {
-    rl::DqnConfig cfg;
-    cfg.foundation = type;
-    cfg.net = net;
-    dqn = std::make_unique<rl::DqnAgent>(cfg, /*seed=*/0);
-    loaded = core::load_agent(*dqn, path);
-  } else {
-    rl::PgConfig cfg;
-    cfg.foundation = type;
-    cfg.net = net;
-    pg = std::make_unique<rl::PgAgent>(cfg, /*seed=*/0);
-    loaded = core::load_agent(*pg, path);
-  }
-  if (!loaded) {
+  auto nn_model = std::make_unique<nn::DualHeadModel>(type, net, /*seed=*/0);
+  if (!core::load_model(*nn_model, info->kind, type, net, path)) {
     res.error = path + ": architecture mismatch (header or parameter shapes "
                        "disagree with registry defaults)";
     return res;
   }
 
   const std::uint64_t version = next_version_.fetch_add(1, std::memory_order_relaxed);
-  auto model = std::make_shared<const ServableModel>(res.key, *info, path, version,
-                                                     std::move(dqn), std::move(pg));
+  auto model =
+      std::make_shared<const ServableModel>(res.key, *info, path, version, std::move(nn_model));
   {
     std::unique_lock lock(mutex_);
     models_[res.key] = std::move(model);  // atomic swap for hot reload

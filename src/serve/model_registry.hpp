@@ -1,7 +1,7 @@
 // Durable model store for online serving. A registry scans a directory of
 // agent checkpoints (core::save_agent format), validates each header via
-// core::read_checkpoint_info, reconstructs the agent behind it, and hands
-// out immutable snapshots keyed by (cluster, method, foundation).
+// core::read_checkpoint_info, rebuilds the dual-head model behind it, and
+// hands out immutable snapshots keyed by (cluster, method, foundation).
 //
 // Hot reload is atomic: loading a newer checkpoint for an existing key
 // swaps the shared_ptr under the registry lock, so in-flight requests keep
@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "rl/dqn.hpp"
-#include "rl/policy_gradient.hpp"
+#include "nn/dual_head.hpp"
 #include "util/wal.hpp"
 
 namespace mirage::serve {
@@ -55,29 +54,28 @@ struct Decision {
   std::uint64_t model_version = 0;
 };
 
-/// A loaded agent plus its provenance. Inference serializes on an internal
+/// A loaded model plus its provenance. Inference serializes on an internal
 /// mutex (the dual-head model caches activations), so a snapshot is safe
 /// to share across threads; the batched engine amortizes that lock over
-/// whole batches. The inference entry points are virtual so harnesses
-/// (e.g. the serve soak bench) can substitute an allocation-free stub and
+/// whole batches. infer_into is virtual so harnesses (e.g. the serve soak
+/// bench) can substitute an allocation-free stub, with a null model, and
 /// audit the service layer in isolation from the NN forward.
 class ServableModel {
  public:
   ServableModel(ModelKey key, core::CheckpointInfo info, std::string path, std::uint64_t version,
-                std::unique_ptr<rl::DqnAgent> dqn, std::unique_ptr<rl::PgAgent> pg)
+                std::unique_ptr<nn::DualHeadModel> model)
       : key_(std::move(key)),
         info_(std::move(info)),
         path_(std::move(path)),
         version_(version),
-        dqn_(std::move(dqn)),
-        pg_(std::move(pg)) {}
+        model_(std::move(model)) {}
   virtual ~ServableModel() = default;
 
   const ModelKey& key() const { return key_; }
   const core::CheckpointInfo& info() const { return info_; }
   const std::string& path() const { return path_; }
   std::uint64_t version() const { return version_; }
-  bool is_dqn() const { return dqn_ != nullptr; }
+  bool is_dqn() const { return info_.kind == "dqn"; }
   std::size_t observation_dim() const { return info_.history_len * info_.state_dim; }
 
   /// Batched decision pass: one forward over all observations. Each
@@ -85,8 +83,7 @@ class ServableModel {
   /// channel is overwritten per model kind (±1 rows for the DQN Q-head,
   /// 0 for the PG P-head). Per-row results are bitwise identical to a
   /// B=1 pass over the same observation.
-  virtual std::vector<Decision> infer(
-      const std::vector<std::vector<float>>& observations) const;
+  std::vector<Decision> infer(const std::vector<std::vector<float>>& observations) const;
 
   /// Same pass writing into a caller-owned buffer (resized to match); the
   /// batched engine reuses one buffer across ticks so the decision vector
@@ -101,8 +98,7 @@ class ServableModel {
   core::CheckpointInfo info_;
   std::string path_;
   std::uint64_t version_;
-  std::unique_ptr<rl::DqnAgent> dqn_;
-  std::unique_ptr<rl::PgAgent> pg_;
+  std::unique_ptr<nn::DualHeadModel> model_;
   mutable std::mutex infer_mutex_;  ///< forward caches are not reentrant
 };
 

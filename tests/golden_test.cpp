@@ -173,7 +173,7 @@ TEST(GoldenNN, CompactMoeDqnInferQMatchesCommittedHash) {
     const auto obs = golden_observation(rng, dim);
     std::copy(obs.begin(), obs.end(), x.row(r));
   }
-  const nn::Tensor q = agent.model().infer_q(x);
+  const nn::Tensor q = agent.model().forward_q(x);
   EXPECT_EQ(float_bits_hash(kFnv1a64Basis, q.data(), q.size()), kGoldenInferQ)
       << "MoE+DQN serving output bits changed";
 }

@@ -248,7 +248,7 @@ TEST(Metrics, LintAcceptsRegistryExposition) {
 /// Allocation-free servable stub: action = sign of the first feature.
 struct SignModel : serve::ServableModel {
   explicit SignModel(std::size_t dim)
-      : ServableModel({"lint", "dqn", "moe"}, info(dim), "<stub>", 1, nullptr, nullptr) {}
+      : ServableModel({"lint", "dqn", "moe"}, info(dim), "<stub>", 1, nullptr) {}
   static core::CheckpointInfo info(std::size_t dim) {
     core::CheckpointInfo i;
     i.history_len = 1;

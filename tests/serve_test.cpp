@@ -116,7 +116,7 @@ struct StubModel : ServableModel {
     return info;
   }
   explicit StubModel(std::size_t dim, bool short_batch = false)
-      : ServableModel({"stub", "dqn", "moe"}, stub_info(dim), "<stub>", 1, nullptr, nullptr),
+      : ServableModel({"stub", "dqn", "moe"}, stub_info(dim), "<stub>", 1, nullptr),
         short_batch_(short_batch) {}
   void infer_into(const std::vector<std::vector<float>>& observations,
                   std::vector<Decision>& out) const override {
@@ -291,7 +291,7 @@ TEST(BatchedInference, PgBatchedMatchesSingleBitwise) {
 TEST(BatchedInference, Top1SparseRoutingMatchesDenseBitwise) {
   // Serving a Top-1 MoE checkpoint runs only each row's routed expert;
   // outputs must still be bitwise equal to the dense evaluate-then-select
-  // forward the agent itself uses.
+  // forward that training runs (every expert on every row).
   TempDir dir("parity_top1");
   rl::DqnConfig cfg;
   cfg.foundation = nn::FoundationType::kMoE;
@@ -316,10 +316,20 @@ TEST(BatchedInference, Top1SparseRoutingMatchesDenseBitwise) {
     observations.push_back(std::move(obs));
   }
   const auto batched = model->infer(observations);
+  // Dense reference: one train-mode Q-pass, row 2i "wait", row 2i+1 "submit".
+  const std::size_t k = cfg.net.history_len;
+  nn::Tensor x(2 * observations.size(), model->observation_dim());
   for (std::size_t i = 0; i < observations.size(); ++i) {
-    const auto [q_wait, q_submit] = trained.q_pair(observations[i]);
-    EXPECT_EQ(batched[i].score_wait, q_wait) << "row " << i;
-    EXPECT_EQ(batched[i].score_submit, q_submit) << "row " << i;
+    std::vector<float> obs = observations[i];
+    rl::set_action_channel(obs, k, -1.0f);
+    std::copy(obs.begin(), obs.end(), x.row(2 * i));
+    rl::set_action_channel(obs, k, 1.0f);
+    std::copy(obs.begin(), obs.end(), x.row(2 * i + 1));
+  }
+  const nn::Tensor dense = trained.model().forward_q(x, /*train=*/true);
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    EXPECT_EQ(batched[i].score_wait, dense.at(2 * i, 0)) << "row " << i;
+    EXPECT_EQ(batched[i].score_submit, dense.at(2 * i + 1, 0)) << "row " << i;
   }
 }
 
