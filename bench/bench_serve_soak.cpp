@@ -419,7 +419,10 @@ int main(int argc, char** argv) {
   // pairs, alternating which goes first; the 5% gate is on the median
   // per-pair ratio. The segment size is large enough that no roll lands
   // inside an audited window, so the journaled decide path must also be
-  // allocation-free.
+  // allocation-free. Both services stay started for the whole phase so a
+  // pair can run back to back on warm sessions; the idle one costs either
+  // side the same: its engine thread sleeps on an empty queue and its
+  // sweeper runs the 0.1 s SLO tick, whichever service is measured.
   SteadyRep best_journal;
   std::uint64_t journal_allocs = 0;
   double journal_overhead_pct = 0.0;

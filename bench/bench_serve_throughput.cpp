@@ -1,18 +1,20 @@
-// Serving-throughput bench behind the serve subsystem's headline claim:
-// batched serving beats the status-quo B=1 loop by >=4x decisions/sec on
-// the same checkpoint.
+// Serving-throughput bench: batched serving against the B=1 loop the
+// offline pipeline runs, in decisions/sec on the same checkpoint, with a
+// >=4x bar at B>=16 (exit 2 below it).
 //
-// The B=1 baseline is exactly what every caller does today
-// (rl::DqnAgent::q_pair -> dense forward over ALL MoE experts, two rows
-// at a time). The batched path is ServableModel::infer: requests
-// coalesce into one [B, k*(m+1)] tensor and, for Top-1 MoE checkpoints,
-// the gate routes rows into per-expert sub-batches so each expert runs
-// once over only its rows — the sparse-routing saving the paper left on
-// the table, which only stays GEMM-friendly when serving is batched.
+// The B=1 baseline is the per-decision loop (rl::DqnAgent::act_greedy ->
+// q_pair -> forward_q(x, train=false), two rows at a time). The batched
+// path is ServableModel::infer: requests coalesce into one [B, k*(m+1)]
+// tensor through the same forward(x, train=false). Both paths route a
+// Top-1 MoE sparsely (each row runs only its routed expert), so the gap
+// between them is what batching alone buys. The 4x bar was set when the
+// B=1 loop ran every expert densely and the saving of sparse routing
+// counted toward the gap; with both paths sparse the bench reads about
+// 1.1-1.7x on a 4-core x86 host and fails the bar.
 //
 // Three measurements on the same checkpoint (loaded through the real
 // ModelRegistry path):
-//   1. sequential B=1 serving (status quo);
+//   1. sequential B=1 serving;
 //   2. direct batched inference at several batch sizes;
 //   3. end-to-end engine serving (client threads -> coalescing queue ->
 //      batched tick), with p50/p95/p99 request latency.
@@ -111,10 +113,10 @@ int main(int argc, char** argv) {
   // Warm up allocators and caches.
   model->infer({observations[0], observations[1]});
 
-  // ---- 1. sequential B=1 (status quo: q_pair, dense forward) -------------
+  // ---- 1. sequential B=1 (q_pair -> forward(x, train=false)) ------------
   // Reload the same checkpoint into a plain agent: this is precisely the
-  // serving path the offline pipeline (DqnProvisioner -> act_greedy)
-  // uses today.
+  // per-decision path the offline pipeline (DqnProvisioner -> act_greedy)
+  // uses.
   rl::DqnConfig base_cfg;
   base_cfg.foundation = nn::FoundationType::kMoE;
   base_cfg.net = net;
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
   const double seq_seconds = util::wall_seconds() - t0;
   const double seq_dps = static_cast<double>(n) / seq_seconds;
   std::printf("%-28s %10.0f decisions/s   (%.2f s, %zu submits)\n",
-              "sequential B=1 (status quo)", seq_dps, seq_seconds, submit_count);
+              "sequential B=1", seq_dps, seq_seconds, submit_count);
 
   // ---- 2. direct batched inference ---------------------------------------
   bool target_met = false;
