@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/strconv.hpp"
+#include "util/wal.hpp"
 
 namespace mirage::lab {
 
@@ -44,83 +45,39 @@ std::map<std::string, std::string> parse_manifest(std::istream& in) {
   return kv;
 }
 
-// ---- run journal records --------------------------------------------------
-// Binary WAL records; RecordReader bounds-checks every field on replay, so
-// a foreign or truncated record is rejected, never mis-parsed.
-constexpr std::uint8_t kRecJobComplete = 1;  ///< u32 manifest_len|bytes|u32 ckpt_len|bytes
-constexpr std::uint8_t kRecLeaderboard = 2;  ///< u32 csv_len|bytes
-
-const char* kJournalDirName = "journal";
-
-}  // namespace
-
-fs::path ArtifactStore::dir_for(const ExperimentPlan& plan, std::uint64_t plan_hash) const {
-  return fs::path(root_) / (plan.name + "__" + hash_hex(plan_hash));
-}
-
-std::string ArtifactStore::run_dir(const ExperimentPlan& plan) const {
-  return dir_for(plan, plan.hash()).string();
-}
-
-bool ArtifactStore::init_run(const ExperimentPlan& plan, std::string* error) {
-  // parse_plan rejects these; guard programmatically-built plans too — a
-  // name with a separator or ".." would write artifacts outside the root.
-  if (plan.name.empty() || plan.name.find('/') != std::string::npos ||
-      plan.name.find('\\') != std::string::npos || plan.name.find("..") != std::string::npos) {
-    return fail(error, "plan name must be a plain path component: '" + plan.name + "'");
+/// The run directory's one commit protocol: `write` fills <path>.tmp, the
+/// temp file is fsynced so its bytes are durable before the rename
+/// publishes them, and rename_durable fsyncs the directory after it, so
+/// the rename itself survives power loss — not merely process death.
+bool commit_file(const fs::path& path, const ArtifactStore::FileWriter& write,
+                 std::string* error) {
+  const std::string tmp = path.string() + ".tmp";
+  if (!write(tmp)) return fail(error, "cannot write " + tmp);
+  std::string io_error;
+  if (!util::wal::fsync_path(tmp, &io_error) ||
+      !util::wal::rename_durable(tmp, path.string(), &io_error)) {
+    return fail(error, "cannot commit " + path.string() + ": " + io_error);
   }
-  std::error_code ec;
-  const fs::path dir = run_dir(plan);
-  fs::create_directories(dir, ec);
-  if (ec) return fail(error, "cannot create run dir " + dir.string() + ": " + ec.message());
-  const fs::path plan_file = dir / "plan.txt";
-  if (!fs::exists(plan_file)) {
-    std::ofstream out(plan_file);
-    if (!out || !(out << plan.to_text())) {
-      return fail(error, "cannot write " + plan_file.string());
-    }
-  }
-  if (options_.journal && !recover_run(dir, error)) return false;
   return true;
 }
 
-bool ArtifactStore::recover_run(const fs::path& dir, std::string* error) {
-  recovery_ = RunRecovery{};
-  const fs::path journal_dir = dir / kJournalDirName;
+bool commit_text(const fs::path& path, const std::string& text, std::string* error) {
+  return commit_file(
+      path,
+      [&text](const std::string& tmp) {
+        std::ofstream out(tmp, std::ios::binary);
+        out << text;
+        out.close();
+        return !out.fail();
+      },
+      error);
+}
 
-  util::wal::RecoveryInfo info;
-  const auto replay = [this](const void* data, std::size_t size) {
-    util::wal::RecordReader r(data, size);
-    switch (r.u8()) {
-      case kRecJobComplete: {
-        r.str(r.u32());  // manifest name
-        r.str(r.u32());  // checkpoint name ("" for non-checkpointable)
-        if (r.ok) ++recovery_.journaled_jobs;
-        break;
-      }
-      case kRecLeaderboard: {
-        std::string csv = r.str(r.u32());
-        if (r.ok) {
-          ++recovery_.leaderboard_snapshots;
-          recovery_.last_leaderboard_csv = std::move(csv);
-        }
-        break;
-      }
-      default:
-        break;  // unknown record type: skip (forward compatibility)
-    }
-  };
-  std::string wal_error;
-  if (!util::wal::recover(journal_dir.string(), replay, &info, &wal_error)) {
-    return fail(error, "run journal recovery failed: " + wal_error);
-  }
-  recovery_.torn_tail = info.torn_tail;
-
-  // Purge stranded partial artifacts: a kill -9 can leave a *.tmp mid-write
-  // or a committed checkpoint whose manifest never landed (run_cell renames
-  // the checkpoint BEFORE the manifest commit). Both would otherwise sit in
-  // the run dir forever; neither is resumable. Manifested checkpoints are
-  // the ones to keep — the manifest is the commit point.
+/// Remove what a kill -9 strands: a *.tmp mid-commit, or a committed
+/// checkpoint whose manifest never landed (the checkpoint commits first).
+/// Neither is resumable; the manifest is the commit point, so only the
+/// checkpoints complete manifests reference are kept.
+void purge_stranded(const fs::path& dir) {
   std::set<std::string> referenced;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
@@ -146,33 +103,31 @@ bool ArtifactStore::recover_run(const fs::path& dir, std::string* error) {
     if (stranded_tmp || orphan_ckpt) {
       std::error_code rm_ec;
       fs::remove(entry.path(), rm_ec);
-      if (!rm_ec) ++recovery_.stranded_removed;
     }
   }
-
-  std::lock_guard<std::mutex> lock(journal_mutex_);
-  if (!journal_.open(journal_dir.string(), options_.wal, &wal_error)) {
-    return fail(error, "cannot open run journal: " + wal_error);
-  }
-  return true;
 }
 
-bool ArtifactStore::journal_record(const fs::path& run_dir, const util::wal::Chunk* chunks,
-                                   std::size_t count, std::string* error) {
-  const fs::path journal_dir = run_dir / kJournalDirName;
-  std::lock_guard<std::mutex> lock(journal_mutex_);
-  // One store can serve several plans; reopen if a different run's journal
-  // is current (rare — init_run normally opened the right one already).
-  if (!journal_.is_open() || journal_.dir() != journal_dir.string()) {
-    std::string wal_error;
-    if (!journal_.open(journal_dir.string(), options_.wal, &wal_error)) {
-      return fail(error, "cannot open run journal: " + wal_error);
-    }
+}  // namespace
+
+fs::path ArtifactStore::dir_for(const ExperimentPlan& plan, std::uint64_t plan_hash) const {
+  return fs::path(root_) / (plan.name + "__" + hash_hex(plan_hash));
+}
+
+std::string ArtifactStore::run_dir(const ExperimentPlan& plan) const {
+  return dir_for(plan, plan.hash()).string();
+}
+
+bool ArtifactStore::init_run(const ExperimentPlan& plan, std::string* error) {
+  // parse_plan rejects these; guard programmatically-built plans too.
+  if (!is_plain_path_component(plan.name)) {
+    return fail(error, "plan name must be a plain path component: '" + plan.name + "'");
   }
-  std::string wal_error;
-  if (!journal_.append(chunks, count, &wal_error) || !journal_.commit(&wal_error)) {
-    return fail(error, "run journal append failed: " + wal_error);
-  }
+  std::error_code ec;
+  const fs::path dir = run_dir(plan);
+  fs::create_directories(dir, ec);
+  if (ec) return fail(error, "cannot create run dir " + dir.string() + ": " + ec.message());
+  if (!commit_text(dir / "plan.txt", plan.to_text(), error)) return false;
+  purge_stranded(dir);
   return true;
 }
 
@@ -248,72 +203,37 @@ std::optional<JobResult> ArtifactStore::load(const ExperimentPlan& plan, const L
 }
 
 bool ArtifactStore::save(const ExperimentPlan& plan, const LabJob& job, const JobResult& result,
-                         std::string* error, std::optional<std::uint64_t> plan_hash_hint) {
+                         std::string* error, std::optional<std::uint64_t> plan_hash_hint,
+                         const FileWriter& write_checkpoint) {
   const std::uint64_t plan_hash = plan_hash_hint ? *plan_hash_hint : plan.hash();
-  const fs::path manifest = dir_for(plan, plan_hash) / (job.id() + ".manifest");
-  const fs::path tmp = manifest.string() + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return fail(error, "cannot write " + tmp.string());
-    out << "# mirage lab manifest\n";
-    out << "plan_hash=" << hash_hex(plan_hash) << '\n';
-    out << "job=" << job.id() << '\n';
-    out << "cell=" << result.cell << '\n';
-    out << "cluster=" << result.cluster << '\n';
-    out << "seed=" << result.seed << '\n';
-    out << "method=" << result.method << '\n';
-    out << "eventful=" << (result.eventful ? 1 : 0) << '\n';
-    out << "episodes=" << result.episodes << '\n';
-    out << "mean_interruption_h=" << format_double_exact(result.mean_interruption_h) << '\n';
-    out << "max_interruption_h=" << format_double_exact(result.max_interruption_h) << '\n';
-    out << "mean_overlap_h=" << format_double_exact(result.mean_overlap_h) << '\n';
-    out << "zero_fraction=" << format_double_exact(result.zero_fraction) << '\n';
-    out << "cell_mean_wait_h=" << format_double_exact(result.cell_mean_wait_h) << '\n';
-    out << "cell_p95_wait_h=" << format_double_exact(result.cell_p95_wait_h) << '\n';
-    out << "cell_utilization=" << format_double_exact(result.cell_utilization) << '\n';
-    out << "cell_load=" << result.cell_load << '\n';
-    out << "cell_killed=" << result.cell_killed << '\n';
-    out << "cell_preempted=" << result.cell_preempted << '\n';
-    out << "cell_partition_counts=" << result.cell_partition_counts << '\n';
-    out << "checkpoint=" << result.checkpoint << '\n';
-    out << "status=complete\n";
-    if (!out) return fail(error, "cannot write " + tmp.string());
+  const fs::path dir = dir_for(plan, plan_hash);
+  if (write_checkpoint && !commit_file(dir / result.checkpoint, write_checkpoint, error)) {
+    return false;
   }
-  // Harden the commit: fsync the temp file so its bytes are durable before
-  // the rename publishes them, then fsync the directory so the rename
-  // itself survives power loss — not merely process death.
-  std::string io_error;
-  if (!util::wal::fsync_path(tmp.string(), &io_error)) return fail(error, io_error);
-  if (!util::wal::rename_durable(tmp.string(), manifest.string(), &io_error)) {
-    return fail(error, "cannot commit " + manifest.string() + ": " + io_error);
-  }
-
-  if (options_.journal) {
-    const std::string manifest_name = manifest.filename().string();
-    std::uint8_t head[5], mid[4];
-    head[0] = kRecJobComplete;
-    util::wal::store_u32_le(head + 1, static_cast<std::uint32_t>(manifest_name.size()));
-    util::wal::store_u32_le(mid, static_cast<std::uint32_t>(result.checkpoint.size()));
-    const util::wal::Chunk chunks[] = {
-        {head, sizeof(head)},
-        {manifest_name.data(), manifest_name.size()},
-        {mid, sizeof(mid)},
-        {result.checkpoint.data(), result.checkpoint.size()},
-    };
-    if (!journal_record(manifest.parent_path(), chunks, 4, error)) return false;
-  }
-  return true;
-}
-
-bool ArtifactStore::snapshot_leaderboard(const ExperimentPlan& plan, const Leaderboard& leaderboard,
-                                         std::string* error) {
-  if (!options_.journal) return true;
-  const std::string csv = leaderboard.to_csv();
-  std::uint8_t head[5];
-  head[0] = kRecLeaderboard;
-  util::wal::store_u32_le(head + 1, static_cast<std::uint32_t>(csv.size()));
-  const util::wal::Chunk chunks[] = {{head, sizeof(head)}, {csv.data(), csv.size()}};
-  return journal_record(run_dir(plan), chunks, 2, error);
+  std::ostringstream out;
+  out << "# mirage lab manifest\n";
+  out << "plan_hash=" << hash_hex(plan_hash) << '\n';
+  out << "job=" << job.id() << '\n';
+  out << "cell=" << result.cell << '\n';
+  out << "cluster=" << result.cluster << '\n';
+  out << "seed=" << result.seed << '\n';
+  out << "method=" << result.method << '\n';
+  out << "eventful=" << (result.eventful ? 1 : 0) << '\n';
+  out << "episodes=" << result.episodes << '\n';
+  out << "mean_interruption_h=" << format_double_exact(result.mean_interruption_h) << '\n';
+  out << "max_interruption_h=" << format_double_exact(result.max_interruption_h) << '\n';
+  out << "mean_overlap_h=" << format_double_exact(result.mean_overlap_h) << '\n';
+  out << "zero_fraction=" << format_double_exact(result.zero_fraction) << '\n';
+  out << "cell_mean_wait_h=" << format_double_exact(result.cell_mean_wait_h) << '\n';
+  out << "cell_p95_wait_h=" << format_double_exact(result.cell_p95_wait_h) << '\n';
+  out << "cell_utilization=" << format_double_exact(result.cell_utilization) << '\n';
+  out << "cell_load=" << result.cell_load << '\n';
+  out << "cell_killed=" << result.cell_killed << '\n';
+  out << "cell_preempted=" << result.cell_preempted << '\n';
+  out << "cell_partition_counts=" << result.cell_partition_counts << '\n';
+  out << "checkpoint=" << result.checkpoint << '\n';
+  out << "status=complete\n";
+  return commit_text(dir / (job.id() + ".manifest"), out.str(), error);
 }
 
 std::size_t ArtifactStore::count_complete(const ExperimentPlan& plan) const {

@@ -4,69 +4,50 @@
 // and — for checkpointable methods — the trained agent in core::checkpoint
 // format.
 //
-// The manifest is the commit point and is written tmp-then-rename with the
-// temp file fsynced before the rename and the parent directory after it,
-// so a committed manifest survives power loss, not just process death, and
-// a killed run never leaves a complete-looking artifact. Resume semantics:
-// a job is skipped iff its manifest parses, says status=complete, and its
-// (plan hash, job id, cell name, cell seed, method) all match the live
-// plan — anything else (including artifacts from a stale plan revision)
-// recomputes. Doubles round-trip through "%.17g", so resumed rows are
-// bitwise equal to freshly computed ones.
+// The store is the only module that knows the run directory's commit
+// protocol, and every file in it goes through the same routine: write
+// <name>.tmp, fsync it, then rename it over <name> and fsync the directory
+// (util::wal::rename_durable). A committed file therefore survives power
+// loss, not just process death, and a killed writer leaves at most a
+// *.tmp. A job's checkpoint commits before its manifest, so the manifest
+// is the commit point: it is the only record that a job finished.
 //
-// With StoreOptions::journal on, each run directory additionally carries a
-// WAL journal (<run_dir>/journal/) of checkpoint-set membership and
-// leaderboard snapshots. init_run() then runs crash recovery first:
-// replay the journal (truncating any torn tail), and purge stranded
-// partial artifacts — leftover *.tmp files and *.ckpt files no complete
-// manifest references — so a resume after kill -9 sees only complete
-// artifact sets and stays bitwise-identical to an uninterrupted run.
+// Resume semantics: a job is skipped iff its manifest parses, says
+// status=complete, and its (plan hash, job id, cell name, cell seed,
+// method) all match the live plan — anything else (including artifacts
+// from a stale plan revision) recomputes. Doubles round-trip through
+// "%.17g", so resumed rows are bitwise equal to freshly computed ones.
+// Every init_run() purges what a kill -9 strands: *.tmp files and *.ckpt
+// files no complete manifest references.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <mutex>
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "lab/experiment.hpp"
 #include "lab/leaderboard.hpp"
-#include "util/wal.hpp"
 
 namespace mirage::lab {
 
-struct StoreOptions {
-  /// Journal checkpoint-set membership + leaderboard snapshots per run.
-  bool journal = false;
-  /// Sync/segment configuration of the run journal. Lab saves are rare
-  /// (one per trained job), so the default on-commit fsync costs nothing
-  /// measurable and makes every journaled commit power-loss durable.
-  util::wal::WalOptions wal;
-};
-
-/// What init_run's crash recovery found for the current run directory.
-struct RunRecovery {
-  std::uint64_t journaled_jobs = 0;           ///< job-complete records replayed
-  std::uint64_t leaderboard_snapshots = 0;    ///< snapshot records replayed
-  std::uint64_t stranded_removed = 0;         ///< *.tmp / orphaned *.ckpt purged
-  bool torn_tail = false;                     ///< journal had a torn tail truncated
-  std::string last_leaderboard_csv;           ///< newest journaled snapshot ("" if none)
-};
-
 class ArtifactStore {
  public:
-  explicit ArtifactStore(std::string root, StoreOptions options = {})
-      : root_(std::move(root)), options_(options) {}
+  /// Writes one artifact's bytes to the path it is given; false on IO
+  /// failure. The path is a temp file the store then commits.
+  using FileWriter = std::function<bool(const std::string& path)>;
+
+  explicit ArtifactStore(std::string root) : root_(std::move(root)) {}
 
   const std::string& root() const { return root_; }
-  const StoreOptions& options() const { return options_; }
 
   /// Run directory for a plan (not created until init_run).
   std::string run_dir(const ExperimentPlan& plan) const;
-  /// Create the run directory and persist plan.txt; false + diagnostic on
-  /// IO failure or a plan name that is not a plain path component. With
-  /// journaling on this also recovers the run journal and purges stranded
-  /// partial artifacts (see last_recovery()).
+  /// Create the run directory, commit plan.txt (rewritten on every call,
+  /// so a torn one from a killed run is restored) and purge stranded
+  /// partial artifacts; false + diagnostic on IO failure or a plan name
+  /// that is not a plain path component.
   bool init_run(const ExperimentPlan& plan, std::string* error = nullptr);
 
   /// Absolute path of a job's manifest / checkpoint artifact.
@@ -83,36 +64,22 @@ class ArtifactStore {
   std::optional<JobResult> load(const ExperimentPlan& plan, const LabJob& job,
                                 std::optional<std::uint64_t> plan_hash = std::nullopt) const;
 
-  /// Persist a completed job (manifest written atomically, last; temp file
-  /// and directory entry fsynced around the rename).
+  /// Persist a completed job. With `write_checkpoint`, the bytes it writes
+  /// are committed first as result.checkpoint (a file name in the run
+  /// directory, normally that of checkpoint_path()); the manifest commits
+  /// last.
   bool save(const ExperimentPlan& plan, const LabJob& job, const JobResult& result,
             std::string* error = nullptr,
-            std::optional<std::uint64_t> plan_hash = std::nullopt);
-
-  /// Journal a leaderboard snapshot for the run (no-op with journaling
-  /// off). The runner calls this once per completed run.
-  bool snapshot_leaderboard(const ExperimentPlan& plan, const Leaderboard& leaderboard,
-                            std::string* error = nullptr);
+            std::optional<std::uint64_t> plan_hash = std::nullopt,
+            const FileWriter& write_checkpoint = {});
 
   /// Completed-artifact count for a plan (cheap resume preview).
   std::size_t count_complete(const ExperimentPlan& plan) const;
 
-  /// Recovery report from the most recent init_run (journaling only).
-  const RunRecovery& last_recovery() const { return recovery_; }
-
  private:
   std::filesystem::path dir_for(const ExperimentPlan& plan, std::uint64_t plan_hash) const;
-  bool recover_run(const std::filesystem::path& dir, std::string* error);
-  bool journal_record(const std::filesystem::path& run_dir, const util::wal::Chunk* chunks,
-                      std::size_t count, std::string* error);
 
   std::string root_;
-  StoreOptions options_;
-  RunRecovery recovery_;
-  // save() runs concurrently from sweep worker threads; the journal writer
-  // is shared per run.
-  std::mutex journal_mutex_;
-  util::wal::Writer journal_;
 };
 
 }  // namespace mirage::lab

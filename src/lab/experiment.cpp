@@ -36,6 +36,11 @@ std::string join_csv(const std::vector<T>& values, std::string (*fmt)(T)) {
 
 }  // namespace
 
+bool is_plain_path_component(const std::string& name) {
+  return !name.empty() && name.find('/') == std::string::npos &&
+         name.find('\\') == std::string::npos && name.find("..") == std::string::npos;
+}
+
 std::string LabJob::id() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "c%03zu__%s", cell_index,
@@ -278,10 +283,7 @@ std::optional<ExperimentPlan> parse_plan(const std::string& text, std::string* e
       }
     }
   }
-  // The name becomes a single path component of the artifact run dir; a
-  // separator or ".." would escape the store root.
-  if (plan.name.empty() || plan.name.find('/') != std::string::npos ||
-      plan.name.find('\\') != std::string::npos || plan.name.find("..") != std::string::npos) {
+  if (!is_plain_path_component(plan.name)) {
     fail(error, "plan name must be a plain path component: '" + plan.name + "'");
     return std::nullopt;
   }

@@ -72,6 +72,11 @@ struct LabJob {
   std::string id() const;
 };
 
+/// True when `name` can be a single path component of a run directory:
+/// non-empty, no separator, no "..". parse_plan and ArtifactStore::init_run
+/// both refuse any other plan name — it would escape the store root.
+bool is_plain_path_component(const std::string& name);
+
 /// Expand the plan into jobs, cell-major then plan method order.
 std::vector<LabJob> expand_jobs(const ExperimentPlan& plan);
 

@@ -10,7 +10,6 @@
 #include "scenario/scenario.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
-#include "util/wal.hpp"
 
 namespace mirage::lab {
 
@@ -93,25 +92,15 @@ CellOutcome run_cell(const ExperimentPlan& plan, std::uint64_t plan_hash, Artifa
     for (std::size_t i = 0; i < missing.size(); ++i) {
       const LabJob job{cell_index, cell, missing[i]};
       JobResult row = make_result(job, evals[i], cell_ctx);
+      ArtifactStore::FileWriter write_checkpoint;
       if (core::is_checkpointable_method(missing[i])) {
-        const std::string path = store.checkpoint_path(plan, job);
-        const std::string tmp = path + ".tmp";
-        if (!pipeline.save_checkpoint(missing[i], tmp)) {
-          outcome.error = "cannot write checkpoint " + tmp;
-          return outcome;
-        }
-        // Same durable commit the manifests use: bytes fsynced before the
-        // rename publishes them, directory entry fsynced after.
-        std::string io_error;
-        if (!util::wal::fsync_path(tmp, &io_error) ||
-            !util::wal::rename_durable(tmp, path, &io_error)) {
-          outcome.error = "cannot commit checkpoint " + path + ": " + io_error;
-          return outcome;
-        }
-        row.checkpoint = std::filesystem::path(path).filename().string();
+        row.checkpoint = std::filesystem::path(store.checkpoint_path(plan, job)).filename().string();
+        write_checkpoint = [&pipeline, m = missing[i]](const std::string& path) {
+          return pipeline.save_checkpoint(m, path);
+        };
       }
       std::string save_error;
-      if (!store.save(plan, job, row, &save_error, plan_hash)) {
+      if (!store.save(plan, job, row, &save_error, plan_hash, write_checkpoint)) {
         outcome.error = save_error;
         return outcome;
       }
@@ -174,13 +163,6 @@ LabRunReport run_impl(const ExperimentPlan& plan, ArtifactStore& store, std::siz
   }
   report.jobs_run = report.jobs_total - report.jobs_resumed;
   report.leaderboard = Leaderboard::build(std::move(rows));
-  // Journaled stores snapshot the final standings; a crash-recovered
-  // resume can then diff its rebuilt leaderboard against the last one the
-  // journal saw (no-op when journaling is off).
-  std::string snapshot_error;
-  if (!store.snapshot_leaderboard(plan, report.leaderboard, &snapshot_error)) {
-    throw std::runtime_error(snapshot_error);
-  }
   util::log_info("lab[", plan.name, "]: ", report.jobs_total, " jobs (", report.jobs_run,
                  " run, ", report.jobs_resumed, " resumed) across ", cells.size(), " cells");
   return report;

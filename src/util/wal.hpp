@@ -198,10 +198,10 @@ class Writer {
 };
 
 // ---- durable filesystem helpers ------------------------------------------
-// The tmp-then-rename hardening the ArtifactStore satellite needs: fsync
-// the temp file BEFORE the rename and the parent directory AFTER it, so a
-// committed manifest survives power loss, not just process death. All
-// three route through the fault-injectable low-level ops.
+// The tmp-then-rename commit lab::ArtifactStore uses for every run file:
+// fsync the temp file BEFORE the rename and the parent directory AFTER
+// it, so a committed file survives power loss, not just process death.
+// All three route through the fault-injectable low-level ops.
 bool fsync_path(const std::string& path, std::string* error = nullptr);
 bool fsync_dir(const std::string& dir, std::string* error = nullptr);
 /// rename(2) + fsync of the destination's parent directory.

@@ -11,12 +11,13 @@
 //      kill/short-write/EIO points at write/fsync/segment-roll
 //      boundaries, every recovery prefix-consistent with what the dead
 //      writer had committed;
-//   3. client recovery: the lab ArtifactStore's journaled runs resume to
-//      complete artifact sets (and bitwise-identical leaderboards) after
-//      kill -9, the ModelRegistry reloads its last promotion from the
-//      promotion log, and a warm-restarted ProvisioningService replays
-//      session rings so post-restart decisions are bitwise identical to
-//      an uninterrupted service.
+//   3. client recovery: the lab ArtifactStore's fsynced tmp-then-rename
+//      commits (plan, checkpoints, manifests) resume to complete artifact
+//      sets (and bitwise-identical leaderboards) after kill -9, the
+//      ModelRegistry reloads its last promotion from the promotion log,
+//      and a warm-restarted ProvisioningService replays session rings so
+//      post-restart decisions are bitwise identical to an uninterrupted
+//      service.
 //
 // On a harness failure the trial's surviving WAL segments are copied to
 // ./wal_crash_artifacts/ (CI uploads the directory) before the test
@@ -635,24 +636,29 @@ lab::JobResult synth_row(const lab::ExperimentPlan& plan, const lab::LabJob& job
   return r;
 }
 
-/// The child's save loop: init the journaled store, then per job write the
-/// checkpoint bytes and commit the manifest+journal record. Returns false
-/// on an (injected) IO failure.
+/// Writes a job's synthetic checkpoint bytes for ArtifactStore::save.
+lab::ArtifactStore::FileWriter synth_checkpoint(const lab::LabJob& job) {
+  return [id = job.id()](const std::string& path) {
+    std::ofstream out(path, std::ios::binary);
+    out << "ckpt-bytes-" << id;
+    out.close();
+    return !out.fail();
+  };
+}
+
+/// The child's save loop: init the store, then per job commit the
+/// checkpoint and the manifest through save(). Returns false on an
+/// (injected) IO failure.
 bool run_lab_workload(const std::string& root, const lab::ExperimentPlan& plan) {
-  lab::StoreOptions so;
-  so.journal = true;
-  lab::ArtifactStore store(root, so);
+  lab::ArtifactStore store(root);
   if (!store.init_run(plan)) return false;
-  const auto jobs = lab::expand_jobs(plan);
-  std::vector<lab::JobResult> rows;
-  for (const auto& job : jobs) {
-    std::ofstream(store.checkpoint_path(plan, job), std::ios::binary)
-        << "ckpt-bytes-" << job.id();
-    const auto row = synth_row(plan, job);
-    if (!store.save(plan, job, row)) return false;
-    rows.push_back(row);
+  for (const auto& job : lab::expand_jobs(plan)) {
+    if (!store.save(plan, job, synth_row(plan, job), nullptr, std::nullopt,
+                    synth_checkpoint(job))) {
+      return false;
+    }
   }
-  return store.snapshot_leaderboard(plan, lab::Leaderboard::build(rows));
+  return true;
 }
 
 TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
@@ -662,8 +668,8 @@ TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
   util::Rng rng(0xAB5EED);
 
   // Calibrate once: the save sequence is deterministic, so one count-only
-  // pass covers every trial (write/fsync/rename boundaries of the
-  // tmp-then-rename manifest commit AND the journal appends).
+  // pass covers every trial (the fsync/rename boundaries of the plan.txt,
+  // checkpoint and manifest tmp-then-rename commits).
   walt::arm_fault(0, walt::FaultMode::kNone);
   ASSERT_TRUE(run_lab_workload(tmp.dir("calib"), plan));
   const std::uint64_t ops = walt::fault_ops_seen();
@@ -689,15 +695,20 @@ TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
     const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
     ASSERT_TRUE(killed || (WIFEXITED(status) && WEXITSTATUS(status) == 0));
 
-    // Recovery: init_run replays the journal and purges strands. The
-    // surviving artifact set must contain ONLY complete, loadable,
-    // bitwise-correct (manifest, checkpoint) pairs.
-    lab::StoreOptions so;
-    so.journal = true;
-    lab::ArtifactStore store(root, so);
+    // Recovery: init_run purges strands. The surviving artifact set must
+    // contain ONLY complete, loadable, bitwise-correct (manifest,
+    // checkpoint) pairs.
+    lab::ArtifactStore store(root);
     std::string error;
     ASSERT_TRUE(store.init_run(plan, &error)) << error;
-    const auto& rec = store.last_recovery();
+    // The checkpoint commits before the manifest, so no manifest on disk
+    // names a checkpoint that never landed.
+    for (const auto& job : jobs) {
+      if (fs::exists(store.manifest_path(plan, job))) {
+        EXPECT_TRUE(fs::exists(store.checkpoint_path(plan, job)))
+            << "trial " << trial << ": manifest ahead of its checkpoint: " << job.id();
+      }
+    }
 
     std::set<std::string> referenced;
     std::size_t complete = 0;
@@ -705,13 +716,13 @@ TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
       if (const auto loaded = store.load(plan, job)) {
         ++complete;
         EXPECT_TRUE(*loaded == synth_row(plan, job)) << job.id();
+        // The checkpoint commits before the manifest, so a loadable job's
+        // checkpoint bytes are complete.
+        EXPECT_EQ(read_file(store.checkpoint_path(plan, job)), "ckpt-bytes-" + job.id());
         referenced.insert(fs::path(store.checkpoint_path(plan, job)).filename().string());
       }
     }
     EXPECT_EQ(complete, store.count_complete(plan));
-    // A journal record is appended only after the manifest rename, so the
-    // journal can trail the manifests but never lead them.
-    EXPECT_LE(rec.journaled_jobs, complete) << "trial " << trial;
     for (const auto& entry : fs::directory_iterator(store.run_dir(plan))) {
       const auto name = entry.path().filename().string();
       EXPECT_NE(entry.path().extension(), ".tmp") << "stranded temp survived: " << name;
@@ -724,9 +735,9 @@ TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
     // recovered store; the full set must load back bitwise.
     for (const auto& job : jobs) {
       if (store.load(plan, job)) continue;
-      std::ofstream(store.checkpoint_path(plan, job), std::ios::binary)
-          << "ckpt-bytes-" << job.id();
-      ASSERT_TRUE(store.save(plan, job, synth_row(plan, job), &error)) << error;
+      ASSERT_TRUE(store.save(plan, job, synth_row(plan, job), &error, std::nullopt,
+                             synth_checkpoint(job)))
+          << error;
     }
     EXPECT_EQ(store.count_complete(plan), jobs.size());
     for (const auto& job : jobs) {
@@ -744,23 +755,21 @@ TEST(LabCrashHarness, KilledSavesRecoverToCompleteSetsOnly) {
 }
 
 TEST(LabCrashHarness, DamagedRunResumesToBitwiseIdenticalLeaderboard) {
-  // The real-runner acceptance: a journaled run that lost artifacts AND
-  // grew strands AND tore its journal tail resumes — through init_run's
-  // recovery — to a leaderboard bitwise equal to an uninterrupted run.
+  // The real-runner acceptance: a run that lost artifacts AND grew
+  // strands resumes — through init_run's purge — to a leaderboard bitwise
+  // equal to an uninterrupted run.
   TempDir tmp("labresume");
   const auto plan = crash_plan("labresume");
 
   lab::ArtifactStore reference_store(tmp.dir("reference"));
   const auto reference = lab::LabRunner::run_serial(plan, reference_store);
 
-  lab::StoreOptions so;
-  so.journal = true;
-  lab::ArtifactStore first(tmp.dir("crashed"), so);
+  lab::ArtifactStore first(tmp.dir("crashed"));
   (void)lab::LabRunner::run_serial(plan, first);
   const std::string run_dir = first.run_dir(plan);
 
-  // Damage: drop cell 1's artifacts, strand a temp file and an orphan
-  // checkpoint, and tear the journal's tail.
+  // Damage: drop cell 1's artifacts and strand a temp file and an orphan
+  // checkpoint.
   const auto jobs = lab::expand_jobs(plan);
   std::size_t dropped = 0;
   for (const auto& job : jobs) {
@@ -771,25 +780,12 @@ TEST(LabCrashHarness, DamagedRunResumesToBitwiseIdenticalLeaderboard) {
   ASSERT_EQ(dropped, 2u);
   std::ofstream(fs::path(run_dir) / "half-written.tmp") << "strand";
   std::ofstream(fs::path(run_dir) / "orphan.ckpt") << "no manifest references me";
-  const auto journal_segments = segment_files((fs::path(run_dir) / "journal").string());
-  ASSERT_FALSE(journal_segments.empty());
-  {
-    std::ofstream tear(journal_segments.back(), std::ios::binary | std::ios::app);
-    for (int i = 0; i < 21; ++i) tear.put(static_cast<char>(0xEE));
-  }
 
-  lab::ArtifactStore resumed_store(tmp.dir("crashed"), so);
+  lab::ArtifactStore resumed_store(tmp.dir("crashed"));
   const auto resumed = lab::LabRunner(/*threads=*/2).run(plan, resumed_store);
   EXPECT_EQ(resumed.jobs_resumed, 2u);
   EXPECT_EQ(resumed.jobs_run, 2u);
   EXPECT_TRUE(resumed.leaderboard == reference.leaderboard);
-
-  const auto& rec = resumed_store.last_recovery();
-  EXPECT_TRUE(rec.torn_tail);
-  EXPECT_GE(rec.stranded_removed, 2u);
-  // The journaled snapshot from the completed first run survives the tear
-  // and reproduces the reference board byte for byte.
-  EXPECT_EQ(rec.last_leaderboard_csv, reference.leaderboard.to_csv());
   EXPECT_FALSE(fs::exists(fs::path(run_dir) / "half-written.tmp"));
   EXPECT_FALSE(fs::exists(fs::path(run_dir) / "orphan.ckpt"));
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -299,6 +300,23 @@ TEST(ArtifactStore, ManifestPromisingLostCheckpointIsNotResumable) {
 
   std::ofstream(store.checkpoint_path(plan, jobs[1])) << "bytes";
   EXPECT_TRUE(store.load(plan, jobs[1]));
+}
+
+TEST(ArtifactStore, InitRunRestoresTornPlanText) {
+  // A run killed while writing plan.txt leaves a prefix of it behind; the
+  // next init_run must commit the full plan text over it.
+  TempDir tmp("tornplan");
+  const auto plan = tiny_plan("tornplan");
+  ArtifactStore store(tmp.dir("store"));
+  const fs::path plan_file = fs::path(store.run_dir(plan)) / "plan.txt";
+  const std::string text = plan.to_text();
+  fs::create_directories(plan_file.parent_path());
+  std::ofstream(plan_file, std::ios::binary) << text.substr(0, 10);
+
+  ASSERT_TRUE(store.init_run(plan));
+  std::ifstream in(plan_file, std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, text);
 }
 
 // ----------------------------------------------------------------- Runner
