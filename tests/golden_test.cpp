@@ -121,9 +121,10 @@ INSTANTIATE_TEST_SUITE_P(Presets, GoldenTrace, ::testing::ValuesIn(kGolden),
 // The bits of a compact MoE+DQN model's serving output and of its
 // parameters after a few pre-training steps. Every NN kernel (GEMM tiles,
 // GELU/tanh, LayerNorm, attention, Adam) feeds these hashes, so a kernel
-// rewrite that changes any element's rounding flips them. They were
-// computed before the SIMD kernels landed and must never be updated for a
-// pure optimisation.
+// rewrite that changes any element's rounding flips them. The compact MoE
+// hashes were computed before the SIMD kernels landed, the transformer
+// ones (attention at d_head 16 and 4, k = 24) before the attention kernels
+// did; none may be updated for a pure optimisation.
 
 /// The compact pipeline's network (core::PipelineConfig::compact on a
 /// single-partition preset), spelled out so this test pins the numbers,
@@ -160,27 +161,25 @@ std::vector<float> golden_observation(util::Rng& rng, std::size_t dim) {
   return obs;
 }
 
-constexpr std::uint64_t kGoldenInferQ = 6263073847524409099ull;
-constexpr std::uint64_t kGoldenPretrainParams = 12156976214635401793ull;
-
-TEST(GoldenNN, CompactMoeDqnInferQMatchesCommittedHash) {
-  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
-  rl::DqnAgent agent(compact_moe_dqn(), 2024);
+/// Hash of forward_q's output bits on a ragged batch of 37 observations
+/// (not a multiple of any lane width).
+std::uint64_t infer_q_hash(const rl::DqnConfig& dc, std::uint64_t seed) {
+  rl::DqnAgent agent(dc, seed);
   const std::size_t dim = agent.config().net.input_dim();
   util::Rng rng(77);
-  nn::Tensor x(37, dim);  // ragged batch: not a multiple of any lane width
+  nn::Tensor x(37, dim);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto obs = golden_observation(rng, dim);
     std::copy(obs.begin(), obs.end(), x.row(r));
   }
   const nn::Tensor q = agent.model().forward_q(x);
-  EXPECT_EQ(float_bits_hash(kFnv1a64Basis, q.data(), q.size()), kGoldenInferQ)
-      << "MoE+DQN serving output bits changed";
+  return float_bits_hash(kFnv1a64Basis, q.data(), q.size());
 }
 
-TEST(GoldenNN, CompactMoeDqnPretrainParamsMatchCommittedHash) {
-  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
-  rl::DqnAgent agent(compact_moe_dqn(), 2025);
+/// Hash of every parameter's bits after 4 pre-training steps on one
+/// 32-sample batch.
+std::uint64_t pretrain_params_hash(const rl::DqnConfig& dc, std::uint64_t seed) {
+  rl::DqnAgent agent(dc, seed);
   const std::size_t dim = agent.config().net.input_dim();
   util::Rng rng(78);
   std::vector<rl::Experience> samples(32);
@@ -196,7 +195,61 @@ TEST(GoldenNN, CompactMoeDqnPretrainParamsMatchCommittedHash) {
   for (const nn::Parameter* p : agent.model().parameters()) {
     h = float_bits_hash(h, p->value.data(), p->value.size());
   }
-  EXPECT_EQ(h, kGoldenPretrainParams) << "parameter bits after pre-training changed";
+  return h;
+}
+
+/// A transformer DQN at the default FoundationConfig (k = 24, d_model 32,
+/// 2 heads of 16, 2 layers) or, with d_model 8, at 2 heads of 4: the
+/// attention shapes the compact model does not reach.
+rl::DqnConfig transformer_dqn(std::size_t d_model) {
+  rl::DqnConfig dc;
+  dc.foundation = nn::FoundationType::kTransformer;
+  dc.net.d_model = d_model;
+  return dc;
+}
+
+constexpr std::uint64_t kGoldenInferQ = 6263073847524409099ull;
+constexpr std::uint64_t kGoldenPretrainParams = 12156976214635401793ull;
+constexpr std::uint64_t kGoldenTransformerInferQ = 8853110222453813123ull;
+constexpr std::uint64_t kGoldenTransformerPretrainParams = 12882103850773470417ull;
+constexpr std::uint64_t kGoldenNarrowTransformerInferQ = 1587951971396442353ull;
+constexpr std::uint64_t kGoldenNarrowTransformerPretrainParams = 15869699008036052672ull;
+
+TEST(GoldenNN, CompactMoeDqnInferQMatchesCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(infer_q_hash(compact_moe_dqn(), 2024), kGoldenInferQ)
+      << "MoE+DQN serving output bits changed";
+}
+
+TEST(GoldenNN, CompactMoeDqnPretrainParamsMatchCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(pretrain_params_hash(compact_moe_dqn(), 2025), kGoldenPretrainParams)
+      << "parameter bits after pre-training changed";
+}
+
+TEST(GoldenNN, DefaultTransformerDqnInferQMatchesCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(infer_q_hash(transformer_dqn(32), 2026), kGoldenTransformerInferQ)
+      << "transformer+DQN serving output bits changed";
+}
+
+TEST(GoldenNN, DefaultTransformerDqnPretrainParamsMatchCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(pretrain_params_hash(transformer_dqn(32), 2027), kGoldenTransformerPretrainParams)
+      << "parameter bits after pre-training changed";
+}
+
+TEST(GoldenNN, NarrowTransformerDqnInferQMatchesCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(infer_q_hash(transformer_dqn(8), 2028), kGoldenNarrowTransformerInferQ)
+      << "transformer+DQN serving output bits changed";
+}
+
+TEST(GoldenNN, NarrowTransformerDqnPretrainParamsMatchCommittedHash) {
+  MIRAGE_REQUIRE_GOLDEN_PLATFORM();
+  EXPECT_EQ(pretrain_params_hash(transformer_dqn(8), 2029),
+            kGoldenNarrowTransformerPretrainParams)
+      << "parameter bits after pre-training changed";
 }
 
 }  // namespace
