@@ -9,9 +9,12 @@
 // gate, not a hope), written to BENCH_nn_micro.json for the bench_compare
 // regression gate (key=gemm_gflops_tmax). It also times the SIMD kernels
 // of the expert forward on the ISA path the CPU runs (reported as "isa"):
-// GELU forward/backward ns per element and matmul_nt at the compact
-// model's layer shapes with 2048 rows, single-threaded. Pass any
-// --benchmark* flag to run the google-benchmark suite instead.
+// GELU forward/backward and softmax (16-wide rows) ns per element,
+// matmul_nt at the compact model's layer shapes with 2048 rows, and the
+// compact attention layer (16 frames, d_model 16, 2 heads) as served (128
+// items, inference) and as trained (32 items, forward + backward),
+// single-threaded. Pass any --benchmark* flag to run the google-benchmark
+// suite instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "nn/attention.hpp"
 #include "nn/dual_head.hpp"
 #include "nn/layers.hpp"
 #include "nn/parallel.hpp"
@@ -95,17 +99,19 @@ nn::FoundationConfig bench_net(std::size_t k) {
 }
 
 void BM_AttentionForward(benchmark::State& state) {
+  // range(0) = seq, range(1) = d_model (16 is the compact model's).
   const auto seq = static_cast<std::size_t>(state.range(0));
+  const auto d_model = static_cast<std::size_t>(state.range(1));
   util::Rng rng(2);
-  nn::MultiHeadSelfAttention attn(seq, 32, 2, rng);
-  nn::Tensor x(seq * 4, 32);  // batch of 4
+  nn::MultiHeadSelfAttention attn(seq, d_model, 2, rng);
+  nn::Tensor x(seq * 4, d_model);  // batch of 4
   for (float& v : x.flat()) v = static_cast<float>(rng.normal());
   for (auto _ : state) {
     auto y = attn.forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_AttentionForward)->Arg(16)->Arg(48)->Arg(144);
+BENCHMARK(BM_AttentionForward)->Args({16, 16})->Args({16, 32})->Args({48, 32})->Args({144, 32});
 
 void BM_FoundationForwardBackward(benchmark::State& state) {
   const auto cfg = bench_net(static_cast<std::size_t>(state.range(0)));
@@ -199,6 +205,9 @@ double best_seconds(int reps, Fn&& fn) {
 struct KernelTimes {
   double gelu_forward_ns = 0.0;   ///< per element
   double gelu_backward_ns = 0.0;  ///< per element
+  double softmax16_ns = 0.0;      ///< per element, rows of 16
+  double attention_infer_us = 0.0;  ///< 128 items x 16 frames, d_model 16
+  double attention_train_us = 0.0;  ///< 32 items, forward + backward
   struct Shape {
     std::size_t in, out;
     double us = 0.0;
@@ -228,6 +237,28 @@ KernelTimes time_kernels(int reps) {
       nn::gelu_backward(x.data(), y.data(), y.size());
     }
   }) / n * 1e9;
+  // Softmax over its own output: the rows stay ordinary (no underflow,
+  // no denormals) from pass to pass.
+  nn::Tensor rows16(kRows, 16);
+  for (float& v : rows16.flat()) v = static_cast<float>(rng.normal(0.0, 4.0));
+  kt.softmax16_ns = best_seconds(reps, [&] {
+    for (int i = 0; i < kInner; ++i) nn::softmax_rows(rows16);
+  }) / (static_cast<double>(rows16.size()) * kInner) * 1e9;
+  // The compact model's attention layer: 16 frames, d_model 16, 2 heads.
+  nn::MultiHeadSelfAttention attn(16, 16, 2, rng);
+  nn::Tensor serve_x(128 * 16, 16), train_x(32 * 16, 16), train_g(32 * 16, 16);
+  for (nn::Tensor* t : {&serve_x, &train_x, &train_g}) {
+    for (float& v : t->flat()) v = static_cast<float>(rng.normal());
+  }
+  kt.attention_infer_us = best_seconds(reps, [&] {
+    for (int i = 0; i < kInner; ++i) benchmark::DoNotOptimize(attn.forward(serve_x, false).data());
+  }) / kInner * 1e6;
+  kt.attention_train_us = best_seconds(reps, [&] {
+    for (int i = 0; i < kInner; ++i) {
+      attn.forward(train_x, true);
+      benchmark::DoNotOptimize(attn.backward(train_g).data());
+    }
+  }) / kInner * 1e6;
   for (auto& shape : kt.matmul_nt) {
     nn::Tensor a(kRows, shape.in), w(shape.out, shape.in), out;
     for (float& v : a.flat()) v = static_cast<float>(rng.normal());
@@ -313,6 +344,9 @@ int run_gemm_scaling(int argc, char** argv) {
   std::printf("\nexpert-forward kernels (isa=%s, 1 thread, best of %d)\n", isa, reps);
   std::printf("  GELU forward   %8.2f ns/elem\n", kt.gelu_forward_ns);
   std::printf("  GELU backward  %8.2f ns/elem\n", kt.gelu_backward_ns);
+  std::printf("  softmax (16)   %8.2f ns/elem\n", kt.softmax16_ns);
+  std::printf("  attention infer 128x16 d16     %8.2f us\n", kt.attention_infer_us);
+  std::printf("  attention train 32x16 d16 f+b  %8.2f us\n", kt.attention_train_us);
   for (const auto& shape : kt.matmul_nt) {
     std::printf("  matmul_nt 2048x%zu -> %-3zu %8.2f us\n", shape.in, shape.out, shape.us);
   }
@@ -328,7 +362,10 @@ int run_gemm_scaling(int argc, char** argv) {
       .add("bitwise_identical", static_cast<std::int64_t>(bitwise_ok ? 1 : 0))
       .add("isa", isa)
       .add("gelu_forward_ns_per_elem", kt.gelu_forward_ns)
-      .add("gelu_backward_ns_per_elem", kt.gelu_backward_ns);
+      .add("gelu_backward_ns_per_elem", kt.gelu_backward_ns)
+      .add("softmax16_ns_per_elem", kt.softmax16_ns)
+      .add("attention_infer_us_128x16x16d16", kt.attention_infer_us)
+      .add("attention_train_us_32x16x16d16", kt.attention_train_us);
   for (const auto& shape : kt.matmul_nt) {
     json.add("matmul_nt_us_2048x" + std::to_string(shape.in) + "_to_" + std::to_string(shape.out),
              shape.us);

@@ -1,9 +1,255 @@
+// W=8 kernels pass vectors between always-inlined helpers: see simd.hpp.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
+
+#include "nn/softmax_lanes.hpp"
 
 namespace mirage::nn {
+
+// ------------------------------------------------------ the attention core
+//
+// Per (item, head) the core is built from two products on W lanes, each
+// keeping every output element's scalar arithmetic exactly, so every lane
+// width gives the bits of the plain loops:
+//   dots:    out[i][j] = acc * scale, with acc = +0 and acc += a[i][p] *
+//            b[j][p] for ascending p. Lanes over j, read from a transposed,
+//            zero-padded tile of b.
+//   scatter: out[i][:] = +0, then out[i][:] += w(i, j) * tile[j][:] for
+//            ascending j, skipping every j with w(i, j) == 0. Lanes over
+//            the head's columns, read from a zero-padded tile.
+// Both hold a block of outputs in registers across the whole reduction:
+// 8 rows x 1 vector, or 4 rows x 2 vectors. Tiles live in a thread-local scratch that
+// stops allocating once warm.
+namespace {
+
+template <int W>
+constexpr std::size_t padded(std::size_t n) {
+  return (n + W - 1) / W * W;
+}
+
+/// dst[r][c] = src[r * ld + c] for c < d, zero for d <= c < ldd.
+inline void copy_tile(const float* src, std::size_t ld, std::size_t rows, std::size_t d,
+                      float* dst, std::size_t ldd) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy(src + r * ld, src + r * ld + d, dst + r * ldd);
+    std::fill(dst + r * ldd + d, dst + (r + 1) * ldd, 0.0f);
+  }
+}
+
+/// dst[c][r] = src[r * ld + c] for r < rows, zero for rows <= r < ldt.
+inline void transpose_tile(const float* src, std::size_t ld, std::size_t rows, std::size_t d,
+                           float* dst, std::size_t ldt) {
+  for (std::size_t c = 0; c < d; ++c) {
+    float* row = dst + c * ldt;
+    for (std::size_t r = 0; r < rows; ++r) row[r] = src[r * ld + c];
+    std::fill(row + rows, row + ldt, 0.0f);
+  }
+}
+
+/// Stores the first `cols` columns of an R x NV block of accumulators.
+template <int W, int R, int NV>
+MIRAGE_SIMD_INLINE void store_block(const typename simd::Lanes<W>::F (&acc)[R][NV], float* out,
+                                    std::size_t ldo, std::size_t cols) {
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      const std::size_t c0 = static_cast<std::size_t>(v) * W;
+      if (c0 + W <= cols) {
+        simd::store(out + r * ldo + c0, acc[r][v]);
+      } else if (c0 < cols) {
+        simd::store_n(out + r * ldo + c0, acc[r][v], cols - c0);
+      }
+    }
+  }
+}
+
+template <int W, int R, int NV>
+MIRAGE_SIMD_INLINE void dots_block(const float* a, std::size_t lda, const float* bt,
+                                   std::size_t ldt, std::size_t k, float* out, std::size_t ldo,
+                                   std::size_t cols, const float* scale) {
+  using F = typename simd::Lanes<W>::F;
+  F acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = F{};
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    F bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = simd::load<F>(bt + p * ldt + v * W);
+    for (int r = 0; r < R; ++r) {
+      const F av = simd::splat<F>(a[r * lda + p]);
+      for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  if (scale != nullptr) {
+    const F s = simd::splat<F>(*scale);
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NV; ++v) acc[r][v] *= s;
+    }
+  }
+  store_block<W, R, NV>(acc, out, ldo, cols);
+}
+
+/// out[i][j] = <a[i], b[j]> (* *scale when scale is set) for i < rows,
+/// j < cols, over k terms; a has row stride lda, bt = b^T has row stride
+/// ldt >= padded<W>(cols).
+template <int W>
+MIRAGE_SIMD_INLINE void dots(const float* a, std::size_t lda, const float* bt, std::size_t ldt,
+                             std::size_t k, std::size_t rows, std::size_t cols, float* out,
+                             std::size_t ldo, const float* scale) {
+  for (std::size_t jb = 0; jb < cols; jb += 2 * W) {
+    const std::size_t n = std::min<std::size_t>(2 * W, cols - jb);
+    std::size_t i = 0;
+    if (n > W) {
+      for (; i + 4 <= rows; i += 4) {
+        dots_block<W, 4, 2>(a + i * lda, lda, bt + jb, ldt, k, out + i * ldo + jb, ldo, n, scale);
+      }
+      for (; i < rows; ++i) {
+        dots_block<W, 1, 2>(a + i * lda, lda, bt + jb, ldt, k, out + i * ldo + jb, ldo, n, scale);
+      }
+    } else {
+      for (; i + 8 <= rows; i += 8) {
+        dots_block<W, 8, 1>(a + i * lda, lda, bt + jb, ldt, k, out + i * ldo + jb, ldo, n, scale);
+      }
+      for (; i < rows; ++i) {
+        dots_block<W, 1, 1>(a + i * lda, lda, bt + jb, ldt, k, out + i * ldo + jb, ldo, n, scale);
+      }
+    }
+  }
+}
+
+template <int W, int R, int NV>
+MIRAGE_SIMD_INLINE void scatter_block(const float* w, std::size_t wi, std::size_t wj,
+                                      const float* tile, std::size_t ldd, std::size_t n,
+                                      float* out, std::size_t ldo, std::size_t cols) {
+  using F = typename simd::Lanes<W>::F;
+  F acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = F{};
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    F tv[NV];
+    for (int v = 0; v < NV; ++v) tv[v] = simd::load<F>(tile + j * ldd + v * W);
+    for (int r = 0; r < R; ++r) {
+      const float x = w[r * wi + j * wj];
+      if (x == 0.0f) continue;
+      const F xv = simd::splat<F>(x);
+      for (int v = 0; v < NV; ++v) acc[r][v] += xv * tv[v];
+    }
+  }
+  store_block<W, R, NV>(acc, out, ldo, cols);
+}
+
+/// out[i][c] = sum over j < n of w[i * wi + j * wj] * tile[j][c] for
+/// i < rows, c < d; tile has row stride ldd >= padded<W>(d).
+template <int W>
+MIRAGE_SIMD_INLINE void scatter(const float* w, std::size_t wi, std::size_t wj,
+                                const float* tile, std::size_t ldd, std::size_t rows,
+                                std::size_t n, std::size_t d, float* out, std::size_t ldo) {
+  for (std::size_t cb = 0; cb < d; cb += 2 * W) {
+    const std::size_t cols = std::min<std::size_t>(2 * W, d - cb);
+    std::size_t i = 0;
+    const float* t = tile + cb;
+    if (cols > W) {
+      for (; i + 4 <= rows; i += 4) {
+        scatter_block<W, 4, 2>(w + i * wi, wi, wj, t, ldd, n, out + i * ldo + cb, ldo, cols);
+      }
+      for (; i < rows; ++i) {
+        scatter_block<W, 1, 2>(w + i * wi, wi, wj, t, ldd, n, out + i * ldo + cb, ldo, cols);
+      }
+    } else {
+      for (; i + 8 <= rows; i += 8) {
+        scatter_block<W, 8, 1>(w + i * wi, wi, wj, t, ldd, n, out + i * ldo + cb, ldo, cols);
+      }
+      for (; i < rows; ++i) {
+        scatter_block<W, 1, 1>(w + i * wi, wi, wj, t, ldd, n, out + i * ldo + cb, ldo, cols);
+      }
+    }
+  }
+}
+
+/// Tensors are [B*S, H*dh] row-major; `at` below is the offset of an
+/// (item, head) block. attn, when set, receives every block's [S, S]
+/// softmax weights, stacked.
+struct AttentionForward {
+  template <int W>
+  MIRAGE_SIMD_INLINE static void run(const float* q, const float* k, const float* v,
+                                     float* concat, float* attn, std::size_t batch,
+                                     std::size_t seq, std::size_t heads, std::size_t dh,
+                                     float inv_sqrt) {
+    const std::size_t d_model = heads * dh;
+    const std::size_t ldt = padded<W>(seq);
+    const std::size_t ldd = padded<W>(dh);
+    thread_local std::vector<float> scratch(1);
+    const std::size_t need = dh * ldt + seq * ldd + seq * seq;
+    if (scratch.size() < need) scratch.resize(need);
+    float* kt = scratch.data();
+    float* vt = kt + dh * ldt;
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t h = 0; h < heads; ++h) {
+        const std::size_t at = b * seq * d_model + h * dh;
+        float* a = attn != nullptr ? attn + (b * heads + h) * seq * seq : vt + seq * ldd;
+        // a[s, t] = softmax_t(<Q[s], K[t]> / sqrt(dh)); out[s] = sum_t a[s, t] V[t]
+        transpose_tile(k + at, d_model, seq, dh, kt, ldt);
+        dots<W>(q + at, d_model, kt, ldt, dh, seq, seq, a, seq, &inv_sqrt);
+        simd::softmax_rows<W>(a, seq, seq);
+        copy_tile(v + at, d_model, seq, dh, vt, ldd);
+        scatter<W>(a, seq, 1, vt, ldd, seq, seq, dh, concat + at, d_model);
+      }
+    }
+  }
+};
+
+struct AttentionBackward {
+  template <int W>
+  MIRAGE_SIMD_INLINE static void run(const float* q, const float* k, const float* v,
+                                     const float* attn, const float* d_out, float* dq,
+                                     float* dk, float* dv, std::size_t batch, std::size_t seq,
+                                     std::size_t heads, std::size_t dh, float inv_sqrt) {
+    const std::size_t d_model = heads * dh;
+    const std::size_t ldt = padded<W>(seq);
+    const std::size_t ldd = padded<W>(dh);
+    thread_local std::vector<float> scratch(1);
+    const std::size_t need = dh * ldt + seq * ldd + seq * seq;
+    if (scratch.size() < need) scratch.resize(need);
+    float* vt = scratch.data();
+    float* tile = vt + dh * ldt;
+    float* ds = tile + seq * ldd;
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t h = 0; h < heads; ++h) {
+        const std::size_t at = b * seq * d_model + h * dh;
+        const float* a = attn + (b * heads + h) * seq * seq;
+        // dV[t] = sum_s a[s, t] d_out[s]
+        copy_tile(d_out + at, d_model, seq, dh, tile, ldd);
+        scatter<W>(a, 1, seq, tile, ldd, seq, seq, dh, dv + at, d_model);
+        // d_attn[s, t] = <d_out[s], V[t]>, then the softmax backward row by
+        // row: ds[s, t] = a[s, t] (d_attn[s, t] - <d_attn[s], a[s]>) / sqrt(dh).
+        transpose_tile(v + at, d_model, seq, dh, vt, ldt);
+        dots<W>(d_out + at, d_model, vt, ldt, dh, seq, seq, ds, seq, nullptr);
+        for (std::size_t s = 0; s < seq; ++s) {
+          float* dr = ds + s * seq;
+          const float* ar = a + s * seq;
+          float dot = 0.0f;
+          for (std::size_t t = 0; t < seq; ++t) dot += dr[t] * ar[t];
+          for (std::size_t t = 0; t < seq; ++t) dr[t] = ar[t] * (dr[t] - dot) * inv_sqrt;
+        }
+        // dQ[s] = sum_t ds[s, t] K[t]; dK[t] = sum_s ds[s, t] Q[s]
+        copy_tile(k + at, d_model, seq, dh, tile, ldd);
+        scatter<W>(ds, seq, 1, tile, ldd, seq, seq, dh, dq + at, d_model);
+        copy_tile(q + at, d_model, seq, dh, tile, ldd);
+        scatter<W>(ds, 1, seq, tile, ldd, seq, seq, dh, dk + at, d_model);
+      }
+    }
+  }
+};
+
+}  // namespace
+
+// ----------------------------------------------------------------- module
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t seq_len, std::size_t d_model,
                                                std::size_t num_heads, util::Rng& rng,
@@ -20,6 +266,10 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t seq_len, std::size_t 
 }
 
 Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
+  return forward(x, train, simd::active_isa());
+}
+
+Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train, simd::Isa isa) {
   assert(x.cols() == d_model_ && x.rows() % seq_ == 0);
   batch_ = x.rows() / seq_;
   Tensor q = wq_.forward(x, train);
@@ -28,42 +278,12 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
 
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head_));
   // Training keeps every (item, head) softmax for backward; inference
-  // reuses one score matrix.
-  if (train) attn_.assign(batch_ * heads_, Tensor(seq_, seq_));
-  Tensor scratch(train ? 0 : seq_, train ? 0 : seq_);
+  // leaves them in the kernel's scratch.
+  if (train) attn_ = Tensor(batch_ * heads_ * seq_, seq_);
   Tensor concat(x.rows(), d_model_);
-
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const std::size_t base = b * seq_;
-    for (std::size_t h = 0; h < heads_; ++h) {
-      const std::size_t off = h * d_head_;
-      Tensor& scores = train ? attn_[b * heads_ + h] : scratch;
-      // scores[s,t] = <Q[s], K[t]> / sqrt(d_head)
-      for (std::size_t s = 0; s < seq_; ++s) {
-        const float* qr = q.row(base + s) + off;
-        float* sr = scores.row(s);
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float* kr = k.row(base + t) + off;
-          float acc = 0.0f;
-          for (std::size_t d = 0; d < d_head_; ++d) acc += qr[d] * kr[d];
-          sr[t] = acc * inv_sqrt;
-        }
-      }
-      softmax_rows(scores);
-      // out[s] = sum_t attn[s,t] * V[t]
-      for (std::size_t s = 0; s < seq_; ++s) {
-        float* out = concat.row(base + s) + off;
-        const float* ar = scores.row(s);
-        for (std::size_t d = 0; d < d_head_; ++d) out[d] = 0.0f;
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float a = ar[t];
-          if (a == 0.0f) continue;
-          const float* vr = v.row(base + t) + off;
-          for (std::size_t d = 0; d < d_head_; ++d) out[d] += a * vr[d];
-        }
-      }
-    }
-  }
+  simd::dispatch<AttentionForward>(isa, q.data(), k.data(), v.data(), concat.data(),
+                                   train ? attn_.data() : nullptr, batch_, seq_, heads_,
+                                   d_head_, inv_sqrt);
   if (train) {
     q_ = std::move(q);
     k_ = std::move(k);
@@ -73,81 +293,18 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
+  return backward(grad_out, simd::active_isa());
+}
+
+Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out, simd::Isa isa) {
   // Through the output projection first.
   Tensor d_concat = wo_.backward(grad_out);
 
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head_));
   Tensor dq(q_.rows(), d_model_), dk(k_.rows(), d_model_), dv(v_.rows(), d_model_);
-
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const std::size_t base = b * seq_;
-    for (std::size_t h = 0; h < heads_; ++h) {
-      const std::size_t off = h * d_head_;
-      const Tensor& attn = attn_[b * heads_ + h];
-
-      // dV[t] += sum_s attn[s,t] * d_out[s]
-      for (std::size_t s = 0; s < seq_; ++s) {
-        const float* go = d_concat.row(base + s) + off;
-        const float* ar = attn.row(s);
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float a = ar[t];
-          if (a == 0.0f) continue;
-          float* dvr = dv.row(base + t) + off;
-          for (std::size_t d = 0; d < d_head_; ++d) dvr[d] += a * go[d];
-        }
-      }
-
-      // d_attn[s,t] = <d_out[s], V[t]>; softmax backward row-wise;
-      // dQ[s] += dscores[s,t] * K[t] * inv_sqrt; dK[t] += dscores[s,t] * Q[s] * inv_sqrt.
-      for (std::size_t s = 0; s < seq_; ++s) {
-        const float* go = d_concat.row(base + s) + off;
-        const float* ar = attn.row(s);
-        d_attn_.assign(seq_, 0.0f);  // reused scratch: no per-row allocation
-        float* d_attn = d_attn_.data();
-        // Same 4-row blocking as the forward scores: independent chains
-        // per (s,t) dot, bitwise-identical sums.
-        std::size_t tb = 0;
-        for (; tb + 4 <= seq_; tb += 4) {
-          const float* v0 = v_.row(base + tb) + off;
-          const float* v1 = v_.row(base + tb + 1) + off;
-          const float* v2 = v_.row(base + tb + 2) + off;
-          const float* v3 = v_.row(base + tb + 3) + off;
-          float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-          for (std::size_t d = 0; d < d_head_; ++d) {
-            const float gv = go[d];
-            a0 += gv * v0[d];
-            a1 += gv * v1[d];
-            a2 += gv * v2[d];
-            a3 += gv * v3[d];
-          }
-          d_attn[tb] = a0;
-          d_attn[tb + 1] = a1;
-          d_attn[tb + 2] = a2;
-          d_attn[tb + 3] = a3;
-        }
-        for (; tb < seq_; ++tb) {
-          const float* vr = v_.row(base + tb) + off;
-          float acc = 0.0f;
-          for (std::size_t d = 0; d < d_head_; ++d) acc += go[d] * vr[d];
-          d_attn[tb] = acc;
-        }
-        float dot = 0.0f;
-        for (std::size_t t = 0; t < seq_; ++t) dot += d_attn[t] * ar[t];
-        float* dqr = dq.row(base + s) + off;
-        const float* qr = q_.row(base + s) + off;
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float ds = ar[t] * (d_attn[t] - dot) * inv_sqrt;
-          if (ds == 0.0f) continue;
-          const float* kr = k_.row(base + t) + off;
-          float* dkr = dk.row(base + t) + off;
-          for (std::size_t d = 0; d < d_head_; ++d) {
-            dqr[d] += ds * kr[d];
-            dkr[d] += ds * qr[d];
-          }
-        }
-      }
-    }
-  }
+  simd::dispatch<AttentionBackward>(isa, q_.data(), k_.data(), v_.data(), attn_.data(),
+                                    d_concat.data(), dq.data(), dk.data(), dv.data(), batch_,
+                                    seq_, heads_, d_head_, inv_sqrt);
 
   Tensor dx = wq_.backward(dq);
   dx.add(wk_.backward(dk));

@@ -6,8 +6,6 @@
 // needs to know S; everything else is row-wise.
 #pragma once
 
-#include <vector>
-
 #include "nn/layers.hpp"
 
 namespace mirage::nn {
@@ -20,6 +18,10 @@ class MultiHeadSelfAttention : public Module {
   /// x: [B*S, D] -> [B*S, D].
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// The same, with the attention core at the lane width of `isa` (tests
+  /// run each; every ISA gives the same bits).
+  Tensor forward(const Tensor& x, bool train, simd::Isa isa);
+  Tensor backward(const Tensor& grad_out, simd::Isa isa);
   void collect_params(std::vector<Parameter*>& out) override;
 
   std::size_t seq_len() const { return seq_; }
@@ -29,9 +31,8 @@ class MultiHeadSelfAttention : public Module {
   std::size_t seq_, d_model_, heads_, d_head_;
   Linear wq_, wk_, wv_, wo_;
   // Caches for backward.
-  Tensor q_, k_, v_;                 ///< [B*S, D]
-  std::vector<Tensor> attn_;         ///< per (item, head): [S, S] softmax weights
-  std::vector<float> d_attn_;        ///< backward per-row scratch (reused)
+  Tensor q_, k_, v_;  ///< [B*S, D]
+  Tensor attn_;       ///< [B*H*S, S]: the [S, S] softmax weights of each (item, head)
   std::size_t batch_ = 0;
 };
 

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace mirage::nn {
 
@@ -194,11 +193,8 @@ struct Elementwise {
       simd::store(out + i, Op::template lanes<W>(simd::load<F>(in + i), o));
     }
     if (i < n) {
-      float a[W] = {}, b[W] = {};
-      std::memcpy(a, in + i, (n - i) * sizeof(float));
-      if (Op::kReadsOut) std::memcpy(b, out + i, (n - i) * sizeof(float));
-      simd::store(b, Op::template lanes<W>(simd::load<F>(a), simd::load<F>(b)));
-      std::memcpy(out + i, b, (n - i) * sizeof(float));
+      const F o = Op::kReadsOut ? simd::load_n<F>(out + i, n - i) : F{};
+      simd::store_n(out + i, Op::template lanes<W>(simd::load_n<F>(in + i, n - i), o), n - i);
     }
   }
 };

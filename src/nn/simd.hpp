@@ -1,5 +1,6 @@
 // Lane-parallel building blocks for the nn kernels (tanh/GELU in
-// layers.cpp, the A*B^T GEMM tile in tensor.cpp).
+// layers.cpp, the A*B^T GEMM tile in tensor.cpp, exp and softmax in
+// softmax_lanes.hpp, the attention core in attention.cpp).
 //
 // Each kernel is ONE template over the lane width W, written with the
 // GCC/Clang vector extensions, and instantiated twice: W=4 for the
@@ -17,6 +18,7 @@
 // changes bits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -61,12 +63,15 @@ inline const char* isa_name(Isa isa) {
   return MIRAGE_SIMD_X86 ? "sse2" : "generic";
 }
 
-/// W float lanes with matching 32-bit integer lanes for masks and bits.
+/// W float lanes with matching 32-bit integer lanes for masks and bits,
+/// and W double lanes with matching 64-bit integer lanes.
 template <int W>
 struct Lanes {
   typedef float F __attribute__((vector_size(4 * W)));
   typedef std::int32_t I __attribute__((vector_size(4 * W)));
   typedef std::uint32_t U __attribute__((vector_size(4 * W)));
+  typedef double D __attribute__((vector_size(8 * W)));
+  typedef std::uint64_t UD __attribute__((vector_size(8 * W)));
 };
 
 /// Shuffle index 0 for every lane L.
@@ -98,6 +103,20 @@ MIRAGE_SIMD_INLINE V load(const float* p) {
 template <class V>
 MIRAGE_SIMD_INLINE void store(float* p, const V& v) {
   std::memcpy(p, &v, sizeof v);
+}
+
+/// Loads p[0, n) into the first n lanes (n <= lanes) and zeros the rest.
+template <class V>
+MIRAGE_SIMD_INLINE V load_n(const float* p, std::size_t n) {
+  V v{};
+  std::memcpy(&v, p, n * sizeof(float));
+  return v;
+}
+
+/// Stores the first n lanes of v to p[0, n).
+template <class V>
+MIRAGE_SIMD_INLINE void store_n(float* p, const V& v, std::size_t n) {
+  std::memcpy(p, &v, n * sizeof(float));
 }
 
 /// Per lane: mask ? a : b (mask lanes are all-ones or all-zeros, as the

@@ -4,10 +4,9 @@
 #include "nn/tensor.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 #include "nn/parallel.hpp"
+#include "nn/softmax_lanes.hpp"
 #include "obs/span.hpp"
 #include "util/thread_pool.hpp"
 
@@ -181,10 +180,8 @@ struct GemmNtTile {
           const F base = accumulate ? simd::load<F>(orow + c0) : F{};
           simd::store(orow + c0, base + acc[r][v]);
         } else if (c0 < cols) {  // partial last vector: the valid columns only
-          float part[W] = {};
-          if (accumulate) std::memcpy(part, orow + c0, (cols - c0) * sizeof(float));
-          simd::store(part, simd::load<F>(part) + acc[r][v]);
-          std::memcpy(orow + c0, part, (cols - c0) * sizeof(float));
+          const F base = accumulate ? simd::load_n<F>(orow + c0, cols - c0) : F{};
+          simd::store_n(orow + c0, base + acc[r][v], cols - c0);
         }
       }
     }
@@ -354,19 +351,33 @@ void add_bias_rows(Tensor& x, const Tensor& bias) {
   }
 }
 
-void softmax_rows(Tensor& x) {
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.row(r);
-    float mx = row[0];
-    for (std::size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] *= inv;
+namespace {
+
+struct ExpKernel {
+  template <int W>
+  MIRAGE_SIMD_INLINE static void run(const float* x, float* y, std::size_t n) {
+    using F = typename simd::Lanes<W>::F;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) simd::store(y + i, simd::exp_lanes<W>(simd::load<F>(x + i)));
+    if (i < n) simd::store_n(y + i, simd::exp_lanes<W>(simd::load_n<F>(x + i, n - i)), n - i);
   }
+};
+
+struct SoftmaxRows {
+  template <int W>
+  MIRAGE_SIMD_INLINE static void run(float* x, std::size_t rows, std::size_t cols) {
+    simd::softmax_rows<W>(x, rows, cols);
+  }
+};
+
+}  // namespace
+
+void exp(const float* x, float* y, std::size_t n, simd::Isa isa) {
+  simd::dispatch<ExpKernel>(isa, x, y, n);
+}
+
+void softmax_rows(Tensor& x, simd::Isa isa) {
+  simd::dispatch<SoftmaxRows>(isa, x.data(), x.rows(), x.cols());
 }
 
 }  // namespace mirage::nn

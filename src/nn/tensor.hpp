@@ -79,7 +79,12 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = 
 /// Add a 1×C bias row to every row of x (in place).
 void add_bias_rows(Tensor& x, const Tensor& bias);
 
-/// Row-wise softmax in place (numerically stable).
-void softmax_rows(Tensor& x);
+/// y[i] = expf(x[i]) with the bits of glibc's non-FMA expf on every host
+/// (a lane port; see softmax_lanes.hpp).
+void exp(const float* x, float* y, std::size_t n, simd::Isa isa = simd::active_isa());
+
+/// Row-wise softmax in place (numerically stable): exp(x - row max) over
+/// the row sum, on the exp above, so its bits do not depend on the libm.
+void softmax_rows(Tensor& x, simd::Isa isa = simd::active_isa());
 
 }  // namespace mirage::nn

@@ -3,11 +3,15 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "nn/softmax_lanes.hpp"
 
 namespace mirage::nn {
 namespace {
@@ -615,6 +620,430 @@ TEST(SimdKernels, MatmulNtIsaPathsAgreeOnTheParallelTileGrid) {
       Tensor got;
       matmul_nt(a, b, got, false, isa);
       expect_bitwise_equal(got, want, simd::isa_name(isa));
+    }
+  }
+}
+
+// --------------------------------------------------- exp and the softmax
+
+/// Scalar oracle: glibc's expf (ARM optimized-routines' table-driven
+/// algorithm), transcribed branch for branch without FMA.
+float glibc_expf(float x) {
+  const std::uint32_t abstop = (bits_of(x) >> 20) & 0x7ff;
+  if (abstop >= 0x42b) {  // |x| >= 88 or NaN
+    if (bits_of(x) == 0xff800000u) return 0.0f;                  // -inf
+    if (abstop >= 0x7f8) return x + x;                          // inf, NaN
+    if (x > 0x1.62e42ep6f) return std::numeric_limits<float>::infinity();  // overflow
+    if (x < -0x1.9fe368p6f) return 0.0f;                        // underflow
+  }
+  const double z = 0x1.71547652b82fep+0 * 32 * static_cast<double>(x);
+  double kd = z + 0x1.8p+52;
+  std::uint64_t ki;
+  std::memcpy(&ki, &kd, sizeof ki);
+  kd -= 0x1.8p+52;
+  const double r = z - kd;
+  const std::uint64_t t = simd::kExp2fTable[ki % 32] + (ki << 47);
+  double s;
+  std::memcpy(&s, &t, sizeof s);
+  const double p = 0x1.c6af84b912394p-5 / 32 / 32 / 32 * r + 0x1.ebfce50fac4f3p-3 / 32 / 32;
+  const double r2 = r * r;
+  double y = 0x1.62e42ff0c52d6p-1 / 32 * r + 1.0;
+  y = p * r2 + y;
+  return static_cast<float>(y * s);
+}
+
+// glibc's expf is this algorithm on x86-64. glibc picks its FMA variant at
+// load time when the CPU has FMA and AVX2 (unless GLIBC_TUNABLES masks
+// them), and that variant rounds differently on exactly these two inputs.
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kLibmIsGlibcExpf = true;
+#else
+constexpr bool kLibmIsGlibcExpf = false;
+#endif
+constexpr std::uint32_t kExpFmaDiffers[] = {0xc27c65d9u /* -0x1.f8cbb2p+5 */,
+                                            0x4202422fu /* 0x1.04845ep+5 */};
+
+bool libm_expf_may_fuse() {
+#if MIRAGE_SIMD_X86
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables != nullptr && std::strstr(tunables, "-FMA") != nullptr) return false;
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+/// Whether std::exp may differ from the port at x: only at the two
+/// documented inputs, and only where glibc runs its FMA variant.
+bool libm_exp_mismatch_allowed(std::uint32_t x) {
+  if (!libm_expf_may_fuse()) return false;
+  return std::find(std::begin(kExpFmaDiffers), std::end(kExpFmaDiffers), x) !=
+         std::end(kExpFmaDiffers);
+}
+
+/// Runs nn::exp at `isa` over `xs` and counts elements whose bits differ
+/// from the oracle, or from std::exp where the libm is glibc's (outside
+/// the allowed pair); reports the first few.
+std::size_t exp_mismatches(const std::vector<float>& xs, simd::Isa isa) {
+  std::vector<float> ys(xs.size());
+  nn::exp(xs.data(), ys.data(), xs.size(), isa);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t got = bits_of(ys[i]);
+    const std::uint32_t want = bits_of(glibc_expf(xs[i]));
+    const bool libm_ok = !kLibmIsGlibcExpf || got == bits_of(std::exp(xs[i])) ||
+                         libm_exp_mismatch_allowed(bits_of(xs[i]));
+    if ((got != want || !libm_ok) && ++bad <= 5) {
+      ADD_FAILURE() << simd::isa_name(isa) << ": exp(0x" << std::hex << bits_of(xs[i])
+                    << ") = 0x" << got << ", oracle 0x" << want << ", libm 0x"
+                    << bits_of(std::exp(xs[i]));
+    }
+  }
+  return bad;
+}
+
+TEST(SimdKernels, ExpMatchesScalarPort) {
+  // An odd stride over all 2^32 bit patterns (every exponent, both signs,
+  // NaN payloads, denormals), the documented FMA pair, the thresholds of
+  // the special paths and +-0, +-inf.
+  constexpr std::uint64_t kStride = 97;
+  std::vector<float> xs;
+  xs.reserve((std::uint64_t{1} << 32) / kStride + 64);
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += kStride) {
+    xs.push_back(float_of(static_cast<std::uint32_t>(u)));
+  }
+  for (const std::uint32_t u : kExpFmaDiffers) xs.push_back(float_of(u));
+  for (const float t : {0x1.62e42ep6f, -0x1.9fe368p6f, 88.0f, -88.0f}) {
+    for (int d = -2; d <= 2; ++d) xs.push_back(float_of(bits_of(t) + d));
+  }
+  for (const std::uint32_t u : {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u}) {
+    xs.push_back(float_of(u));
+  }
+  for (const simd::Isa isa : runnable_isas()) {
+    EXPECT_EQ(exp_mismatches(xs, isa), 0u) << simd::isa_name(isa);
+    for (std::size_t n = 0; n <= 17; ++n) {  // every tail length of both widths
+      EXPECT_EQ(exp_mismatches(std::vector<float>(xs.end() - n, xs.end()), isa), 0u);
+    }
+  }
+}
+
+TEST(SimdKernels, DISABLED_ExpMatchesScalarPortOnAllFloats) {
+  // The exhaustive sweep (all 2^32 inputs), run by CI with
+  // --gtest_also_run_disabled_tests; too slow for tier-1.
+  const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  for (const simd::Isa isa : runnable_isas()) {
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::size_t> bad{0};
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < threads; ++w) {
+      pool.emplace_back([&] {
+        std::vector<float> xs(kChunk), ys(kChunk);
+        for (std::uint64_t c; (c = next.fetch_add(kChunk)) < (std::uint64_t{1} << 32);) {
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            xs[i] = float_of(static_cast<std::uint32_t>(c + i));
+          }
+          nn::exp(xs.data(), ys.data(), kChunk, isa);
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            const std::uint32_t got = bits_of(ys[i]);
+            if (got != bits_of(glibc_expf(xs[i])) ||
+                (kLibmIsGlibcExpf && got != bits_of(std::exp(xs[i])) &&
+                 !libm_exp_mismatch_allowed(bits_of(xs[i])))) {
+              bad.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
+    EXPECT_EQ(bad.load(), 0u) << simd::isa_name(isa);
+  }
+}
+
+/// The scalar softmax loop the kernel replaced, over the exp oracle.
+void scalar_softmax_rows(Tensor& x) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    float* row = x.row(r);
+    float mx = row[0];
+    for (std::size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
+    float sum = 0.0f;
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      row[c] = glibc_expf(row[c] - mx);
+      sum += row[c];
+    }
+    const float inv = 1.0f / sum;
+    for (std::size_t c = 0; c < x.cols(); ++c) row[c] *= inv;
+  }
+}
+
+TEST(SimdKernels, SoftmaxMatchesScalarLoopWithSpecials) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(11);
+  for (const std::size_t cols : {1, 3, 4, 7, 8, 9, 16, 17, 24, 144}) {
+    // Rows at growing scales, so the last ones underflow to exact zeros.
+    Tensor x(6, cols);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        x.at(r, c) = static_cast<float>(rng.normal()) * static_cast<float>(1 << (3 * r));
+      }
+    }
+    Tensor want = x;
+    scalar_softmax_rows(want);
+    for (const simd::Isa isa : runnable_isas()) {
+      Tensor got = x;
+      softmax_rows(got, isa);
+      expect_bitwise_equal(got, want, simd::isa_name(isa));
+    }
+  }
+  for (const simd::Isa isa : runnable_isas()) {
+    // A -inf entry gets exactly +0 and leaves the rest of the row as if
+    // it were absent.
+    Tensor x = Tensor::row_vector(std::vector<float>{1.0f, -kInf, 2.0f, 0.5f, -kInf});
+    Tensor without = Tensor::row_vector(std::vector<float>{1.0f, 2.0f, 0.5f});
+    softmax_rows(x, isa);
+    softmax_rows(without, isa);
+    EXPECT_EQ(bits_of(x.at(0, 1)), 0u);
+    EXPECT_EQ(bits_of(x.at(0, 4)), 0u);
+    EXPECT_EQ(bits_of(x.at(0, 0)), bits_of(without.at(0, 0)));
+    EXPECT_EQ(bits_of(x.at(0, 2)), bits_of(without.at(0, 1)));
+    EXPECT_EQ(bits_of(x.at(0, 3)), bits_of(without.at(0, 2)));
+    // A NaN anywhere in a row (first, or after the max) makes the whole
+    // row NaN, as the std::max fold and the sum spread it.
+    for (const std::size_t at : {0, 2, 8}) {
+      Tensor y(1, 9);
+      for (std::size_t c = 0; c < 9; ++c) y.at(0, c) = static_cast<float>(c) * 0.25f;
+      y.at(0, at) = nan;
+      Tensor want = y;
+      scalar_softmax_rows(want);
+      softmax_rows(y, isa);
+      expect_bitwise_equal(y, want, simd::isa_name(isa));
+      for (std::size_t c = 0; c < 9; ++c) EXPECT_TRUE(std::isnan(y.at(0, c))) << at << "," << c;
+    }
+  }
+}
+
+// ------------------------------------------------------------- attention
+
+/// The scalar attention core the lane kernels replaced: per (item, head)
+/// scores with ascending-d dots, the scalar softmax, then A V with the
+/// a == 0 skip. Fills `attn` with every (item, head) softmax.
+Tensor scalar_attention_forward(const Tensor& q, const Tensor& k, const Tensor& v,
+                                std::size_t seq, std::size_t heads,
+                                std::vector<Tensor>& attn) {
+  const std::size_t d_model = q.cols(), d_head = d_model / heads, batch = q.rows() / seq;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head));
+  attn.assign(batch * heads, Tensor(seq, seq));
+  Tensor concat(q.rows(), d_model);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::size_t base = b * seq;
+    for (std::size_t h = 0; h < heads; ++h) {
+      const std::size_t off = h * d_head;
+      Tensor& scores = attn[b * heads + h];
+      for (std::size_t s = 0; s < seq; ++s) {
+        const float* qr = q.row(base + s) + off;
+        float* sr = scores.row(s);
+        for (std::size_t t = 0; t < seq; ++t) {
+          const float* kr = k.row(base + t) + off;
+          float acc = 0.0f;
+          for (std::size_t d = 0; d < d_head; ++d) acc += qr[d] * kr[d];
+          sr[t] = acc * inv_sqrt;
+        }
+      }
+      scalar_softmax_rows(scores);
+      for (std::size_t s = 0; s < seq; ++s) {
+        float* out = concat.row(base + s) + off;
+        const float* ar = scores.row(s);
+        for (std::size_t d = 0; d < d_head; ++d) out[d] = 0.0f;
+        for (std::size_t t = 0; t < seq; ++t) {
+          const float a = ar[t];
+          if (a == 0.0f) continue;
+          const float* vr = v.row(base + t) + off;
+          for (std::size_t d = 0; d < d_head; ++d) out[d] += a * vr[d];
+        }
+      }
+    }
+  }
+  return concat;
+}
+
+/// The scalar backward of that core: dV scattered over ascending s, the
+/// d_attn dots, the softmax-backward dot, and dQ / dK scattered with the
+/// ds == 0 skip.
+void scalar_attention_backward(const Tensor& q, const Tensor& k, const Tensor& v,
+                               const std::vector<Tensor>& attn, const Tensor& d_concat,
+                               std::size_t seq, std::size_t heads, Tensor& dq, Tensor& dk,
+                               Tensor& dv) {
+  const std::size_t d_model = q.cols(), d_head = d_model / heads, batch = q.rows() / seq;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head));
+  dq = Tensor(q.rows(), d_model);
+  dk = Tensor(k.rows(), d_model);
+  dv = Tensor(v.rows(), d_model);
+  std::vector<float> d_attn(seq);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::size_t base = b * seq;
+    for (std::size_t h = 0; h < heads; ++h) {
+      const std::size_t off = h * d_head;
+      const Tensor& a_bh = attn[b * heads + h];
+      for (std::size_t s = 0; s < seq; ++s) {
+        const float* go = d_concat.row(base + s) + off;
+        const float* ar = a_bh.row(s);
+        for (std::size_t t = 0; t < seq; ++t) {
+          const float a = ar[t];
+          if (a == 0.0f) continue;
+          float* dvr = dv.row(base + t) + off;
+          for (std::size_t d = 0; d < d_head; ++d) dvr[d] += a * go[d];
+        }
+      }
+      for (std::size_t s = 0; s < seq; ++s) {
+        const float* go = d_concat.row(base + s) + off;
+        const float* ar = a_bh.row(s);
+        for (std::size_t t = 0; t < seq; ++t) {
+          const float* vr = v.row(base + t) + off;
+          float acc = 0.0f;
+          for (std::size_t d = 0; d < d_head; ++d) acc += go[d] * vr[d];
+          d_attn[t] = acc;
+        }
+        float dot = 0.0f;
+        for (std::size_t t = 0; t < seq; ++t) dot += d_attn[t] * ar[t];
+        float* dqr = dq.row(base + s) + off;
+        const float* qr = q.row(base + s) + off;
+        for (std::size_t t = 0; t < seq; ++t) {
+          const float ds = ar[t] * (d_attn[t] - dot) * inv_sqrt;
+          if (ds == 0.0f) continue;
+          const float* kr = k.row(base + t) + off;
+          float* dkr = dk.row(base + t) + off;
+          for (std::size_t d = 0; d < d_head; ++d) {
+            dqr[d] += ds * kr[d];
+            dkr[d] += ds * qr[d];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Counts elements whose bits differ, reporting the first few.
+std::size_t bit_mismatches(const Tensor& got, const Tensor& want, const std::string& what) {
+  EXPECT_EQ(got.size(), want.size()) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (bits_of(got.flat()[i]) != bits_of(want.flat()[i]) && ++bad <= 3) {
+      ADD_FAILURE() << what << " [" << i / got.cols() << "," << i % got.cols() << "]: 0x"
+                    << std::hex << bits_of(got.flat()[i]) << " vs oracle 0x"
+                    << bits_of(want.flat()[i]);
+    }
+  }
+  return bad;
+}
+
+/// How a case departs from plain random inputs.
+enum class AttentionCase {
+  kFinite,        ///< +-0, denormals, items scaled 1x / 8x / 64x
+  kKOverflow,     ///< one K row per item overflows to inf in column 0
+  kVOverflow,     ///< one V row per item overflows to inf in column 0
+  kGradOverflow,  ///< one d_out row per item overflows to inf in column 0
+};
+
+/// Runs MultiHeadSelfAttention at every ISA against Linear + the scalar
+/// core + Linear on the module's own parameters, comparing bits of the
+/// forward output (train and inference), dx and every parameter gradient.
+/// Returns the number of exact zeros among the oracle's softmax weights.
+std::size_t check_attention_against_scalar(std::size_t seq, std::size_t heads,
+                                           std::size_t d_head, AttentionCase kind) {
+  const std::size_t d_model = heads * d_head, items = 3, rows = items * seq;
+  const std::string shape = "seq=" + std::to_string(seq) + " heads=" + std::to_string(heads) +
+                            " d_head=" + std::to_string(d_head) +
+                            " case=" + std::to_string(static_cast<int>(kind));
+  Rng rng(seq * 1000 + heads * 100 + d_head);
+  MultiHeadSelfAttention attn(seq, d_model, heads, rng);
+  std::vector<Parameter*> params;
+  attn.collect_params(params);  // wq.w, wq.b, wk.w, wk.b, wv.w, wv.b, wo.w, wo.b
+
+  Tensor x = gemm_operand(rows, d_model, rng);
+  Tensor g = gemm_operand(rows, d_model, rng);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float scale = std::array<float, 3>{1.0f, 8.0f, 64.0f}[r / seq];
+    for (std::size_t c = 0; c < d_model; ++c) x.at(r, c) *= scale;
+  }
+  if (kind == AttentionCase::kKOverflow || kind == AttentionCase::kVOverflow) {
+    // x[:, 0] is zero but for 1e10 in row 1 of each item, and column 0 of
+    // the K (or V) projection reads only x[:, 0], at weight 1e30: that row
+    // overflows to inf there. Rows whose softmax weight on it underflows
+    // to 0 test the ds == 0 skip of dQ (or the a == 0 skip of A V).
+    const std::size_t w = kind == AttentionCase::kKOverflow ? 2 : 4;
+    std::fill(params[w]->value.row(0), params[w]->value.row(0) + d_model, 0.0f);
+    params[w]->value.at(0, 0) = 1e30f;
+    params[w + 1]->value.at(0, 0) = 0.0f;
+    for (std::size_t r = 0; r < rows; ++r) x.at(r, 0) = 0.0f;
+    for (std::size_t b = 0; b < items; ++b) x.at(b * seq + 1, 0) = 1e10f;
+  } else if (kind == AttentionCase::kGradOverflow) {
+    // d_out[:, 0] = sum_j g[:, j] wo[j][0] overflows in row 0 of each item,
+    // testing the a == 0 skip of dV. (The ds == 0 skip of dK cannot be
+    // reached through the module: an infinite Q entry makes every score
+    // of its row infinite or NaN, so that softmax row is NaN and none of
+    // its ds is 0.)
+    params[6]->value.at(0, 0) = 1e30f;
+    for (std::size_t b = 0; b < items; ++b) g.at(b * seq, 0) = 1e10f;
+  }
+
+  // The oracle: Linear layers holding the same parameters around the
+  // scalar core.
+  std::vector<Linear> lin;
+  for (int i = 0; i < 4; ++i) lin.emplace_back(d_model, d_model, rng);
+  std::vector<Parameter*> oracle_params;
+  for (Linear& l : lin) l.collect_params(oracle_params);
+  for (std::size_t i = 0; i < params.size(); ++i) oracle_params[i]->value = params[i]->value;
+  zero_grads(oracle_params);
+  std::vector<Tensor> weights;
+  const Tensor q = lin[0].forward(x, true);
+  const Tensor k = lin[1].forward(x, true);
+  const Tensor v = lin[2].forward(x, true);
+  const Tensor want_y =
+      lin[3].forward(scalar_attention_forward(q, k, v, seq, heads, weights), true);
+  Tensor dq, dk, dv;
+  scalar_attention_backward(q, k, v, weights, lin[3].backward(g), seq, heads, dq, dk, dv);
+  Tensor want_dx = lin[0].backward(dq);
+  want_dx.add(lin[1].backward(dk));
+  want_dx.add(lin[2].backward(dv));
+
+  for (const simd::Isa isa : runnable_isas()) {
+    const std::string at = shape + " " + simd::isa_name(isa);
+    zero_grads(params);
+    EXPECT_EQ(bit_mismatches(attn.forward(x, false, isa), want_y, at + " infer"), 0u);
+    EXPECT_EQ(bit_mismatches(attn.forward(x, true, isa), want_y, at + " train"), 0u);
+    EXPECT_EQ(bit_mismatches(attn.backward(g, isa), want_dx, at + " dx"), 0u);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const std::string what = at + " " + params[i]->name;
+      EXPECT_EQ(bit_mismatches(params[i]->grad, oracle_params[i]->grad, what), 0u);
+    }
+  }
+  std::size_t zeros = 0;
+  for (const Tensor& w : weights) {
+    zeros += static_cast<std::size_t>(std::count(w.flat().begin(), w.flat().end(), 0.0f));
+  }
+  return zeros;
+}
+
+TEST(SimdKernels, AttentionMatchesScalarBitwise) {
+  // seq and d_head straddle both lane widths (the tuner grid runs d_head
+  // 4, 8 and 16; paper scale is k = 144).
+  for (const std::size_t seq : {1, 5, 16, 24, 144}) {
+    for (const std::size_t d_head : {1, 3, 4, 8, 16}) {
+      for (const std::size_t heads : {1, 2, 4}) {
+        const std::size_t zeros =
+            check_attention_against_scalar(seq, heads, d_head, AttentionCase::kFinite);
+        if (seq > 1) {
+          EXPECT_GT(zeros, 0u) << "no softmax weight underflowed at seq=" << seq;
+        }
+        if (seq >= 2 && heads * d_head >= 2) {
+          for (const AttentionCase kind : {AttentionCase::kKOverflow, AttentionCase::kVOverflow,
+                                           AttentionCase::kGradOverflow}) {
+            check_attention_against_scalar(seq, heads, d_head, kind);
+          }
+        }
+      }
     }
   }
 }
