@@ -6,6 +6,8 @@
 // needs to know S; everything else is row-wise.
 #pragma once
 
+#include <vector>
+
 #include "nn/layers.hpp"
 
 namespace mirage::nn {

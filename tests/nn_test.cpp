@@ -157,10 +157,21 @@ Tensor random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return t;
 }
 
-void expect_bitwise_equal(const Tensor& got, const Tensor& want, const char* what) {
+/// Compares raw bits, reporting the first few differing elements.
+void expect_bitwise_equal(const Tensor& got, const Tensor& want, const std::string& what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, &got.flat()[i], sizeof g);
+    std::memcpy(&w, &want.flat()[i], sizeof w);
+    if (g != w && ++bad <= 3) {
+      ADD_FAILURE() << what << " [" << i / want.cols() << "," << i % want.cols() << "]: 0x"
+                    << std::hex << g << ", want 0x" << w;
+    }
+  }
+  EXPECT_EQ(bad, 0u) << what;
 }
 
 /// Naive jik reference — a different loop order entirely, so agreement is
@@ -924,20 +935,6 @@ void scalar_attention_backward(const Tensor& q, const Tensor& k, const Tensor& v
   }
 }
 
-/// Counts elements whose bits differ, reporting the first few.
-std::size_t bit_mismatches(const Tensor& got, const Tensor& want, const std::string& what) {
-  EXPECT_EQ(got.size(), want.size()) << what;
-  std::size_t bad = 0;
-  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    if (bits_of(got.flat()[i]) != bits_of(want.flat()[i]) && ++bad <= 3) {
-      ADD_FAILURE() << what << " [" << i / got.cols() << "," << i % got.cols() << "]: 0x"
-                    << std::hex << bits_of(got.flat()[i]) << " vs oracle 0x"
-                    << bits_of(want.flat()[i]);
-    }
-  }
-  return bad;
-}
-
 /// How a case departs from plain random inputs.
 enum class AttentionCase {
   kFinite,        ///< +-0, denormals, items scaled 1x / 8x / 64x
@@ -1011,12 +1008,11 @@ std::size_t check_attention_against_scalar(std::size_t seq, std::size_t heads,
   for (const simd::Isa isa : runnable_isas()) {
     const std::string at = shape + " " + simd::isa_name(isa);
     zero_grads(params);
-    EXPECT_EQ(bit_mismatches(attn.forward(x, false, isa), want_y, at + " infer"), 0u);
-    EXPECT_EQ(bit_mismatches(attn.forward(x, true, isa), want_y, at + " train"), 0u);
-    EXPECT_EQ(bit_mismatches(attn.backward(g, isa), want_dx, at + " dx"), 0u);
+    expect_bitwise_equal(attn.forward(x, false, isa), want_y, at + " infer");
+    expect_bitwise_equal(attn.forward(x, true, isa), want_y, at + " train");
+    expect_bitwise_equal(attn.backward(g, isa), want_dx, at + " dx");
     for (std::size_t i = 0; i < params.size(); ++i) {
-      const std::string what = at + " " + params[i]->name;
-      EXPECT_EQ(bit_mismatches(params[i]->grad, oracle_params[i]->grad, what), 0u);
+      expect_bitwise_equal(params[i]->grad, oracle_params[i]->grad, at + " " + params[i]->name);
     }
   }
   std::size_t zeros = 0;
