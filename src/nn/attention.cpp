@@ -24,8 +24,8 @@ namespace mirage::nn {
 //            ascending j, skipping every j with w(i, j) == 0. Lanes over
 //            the head's columns, read from a zero-padded tile.
 // Both hold a block of outputs in registers across the whole reduction:
-// 8 rows x 1 vector, or 4 rows x 2 vectors. Tiles live in a thread-local scratch that
-// stops allocating once warm.
+// 8 rows x 1 vector, or 4 rows x 2 vectors. Tiles live in a thread-local
+// scratch that stops allocating once warm.
 namespace {
 
 template <int W>
