@@ -13,8 +13,12 @@
 // matmul_nt at the compact model's layer shapes with 2048 rows, and the
 // compact attention layer (16 frames, d_model 16, 2 heads) as served (128
 // items, inference) and as trained (32 items, forward + backward),
-// single-threaded. Pass any --benchmark* flag to run the google-benchmark
-// suite instead.
+// single-threaded. Last, it times the MoE DQN model at paper scale (k =
+// 144, 10 experts, Top-1 and dense gates; inference at B = 64, training
+// forward + backward at B = 32) at 1, 2, 4 and nproc GEMM threads, best of
+// 3 (about 15 s on 4 cores), with the same bitwise audit on the inference
+// output. Pass any --benchmark* flag to run the google-benchmark suite
+// instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -270,6 +274,50 @@ KernelTimes time_kernels(int reps) {
   return kt;
 }
 
+/// The MoE DQN model at paper scale (k = 144, 10 experts, otherwise the
+/// FoundationConfig defaults), ms best of reps: inference at B = 64 and
+/// training forward + backward at B = 32, Top-1 and dense gates, at 1, 2, 4
+/// and hw GEMM threads (keys _t1/_t2/_t4/_tnproc on every runner). Returns
+/// false if any thread count changes the inference bytes.
+bool time_paper_scale(int reps, std::size_t hw, std::vector<std::pair<std::string, double>>& out) {
+  nn::FoundationConfig cfg;
+  cfg.history_len = 144;
+  cfg.moe_experts = 10;
+  util::Rng rng(44);
+  nn::Tensor infer_x(64, cfg.input_dim()), train_x(32, cfg.input_dim()), grad(32, 1);
+  for (nn::Tensor* t : {&infer_x, &train_x}) {
+    for (float& v : t->flat()) v = static_cast<float>(rng.normal());
+  }
+  grad.fill(1.0f);
+  std::vector<std::size_t> counts{1, 2, 4};
+  if (std::find(counts.begin(), counts.end(), hw) == counts.end()) counts.push_back(hw);
+  bool same = true;
+  for (const bool top1 : {true, false}) {
+    cfg.moe_top1 = top1;
+    nn::DualHeadModel model(nn::FoundationType::kMoE, cfg, /*seed=*/7);
+    const std::string gate = top1 ? "top1" : "dense";
+    nn::Tensor serial_q, q;
+    for (const std::size_t t : counts) {
+      nn::ScopedNumThreads scope(t);
+      const double infer = best_seconds(reps, [&] { q = model.forward_q(infer_x, false); }) * 1e3;
+      const double train = best_seconds(reps, [&] {
+        model.forward_q(train_x, true);
+        model.backward_q(grad);
+      }) * 1e3;
+      if (t == 1) serial_q = q;
+      same = same && std::memcmp(q.data(), serial_q.data(), q.size() * sizeof(float)) == 0;
+      std::printf("  %-5s %8zu %14.2f %14.2f\n", gate.c_str(), t, infer, train);
+      const auto emit = [&](const std::string& suffix) {
+        out.emplace_back("paper_moe_" + gate + "_infer_ms_b64" + suffix, infer);
+        out.emplace_back("paper_moe_" + gate + "_train_ms_b32" + suffix, train);
+      };
+      if (t == 1 || t == 2 || t == 4) emit("_t" + std::to_string(t));
+      if (t == hw) emit("_tnproc");
+    }
+  }
+  return same;
+}
+
 /// CI mode: measure matmul GFLOP/s across thread counts, audit that every
 /// thread count reproduces the serial bytes, emit BENCH_nn_micro.json.
 /// Returns the process exit code (nonzero = determinism violation).
@@ -351,6 +399,16 @@ int run_gemm_scaling(int argc, char** argv) {
     std::printf("  matmul_nt 2048x%zu -> %-3zu %8.2f us\n", shape.in, shape.out, shape.us);
   }
 
+  std::vector<std::pair<std::string, double>> paper;
+  std::printf("\npaper-scale MoE DQN (k=144, 10 experts, best of 3)\n");
+  std::printf("  %-5s %8s %14s %14s\n", "gate", "threads", "infer B=64 ms", "train B=32 ms");
+  if (!time_paper_scale(/*reps=*/3, hw, paper)) {
+    bitwise_ok = false;
+    std::fprintf(stderr,
+                 "FAIL: paper-scale inference diverged across GEMM thread counts — the "
+                 "determinism contract is broken\n");
+  }
+
   bench::BenchJson json("nn_micro");
   json.add("params",
            "sizes=128,192,256,90x170x310 reps=" + std::to_string(reps) +
@@ -370,6 +428,7 @@ int run_gemm_scaling(int argc, char** argv) {
     json.add("matmul_nt_us_2048x" + std::to_string(shape.in) + "_to_" + std::to_string(shape.out),
              shape.us);
   }
+  for (const auto& [key, ms] : paper) json.add(key, ms);
   json
       .add_resource_fields()
       .write();

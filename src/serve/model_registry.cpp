@@ -153,12 +153,6 @@ ModelRegistry::LoadResult ModelRegistry::load_file(const std::string& path,
   }
   res.ok = true;
   res.version = version;
-  if (!journal_promotion(cluster, path)) {
-    // The promotion happened (the registry swap is done); a failed log
-    // append must not un-promote, but it must be loud — a silent gap here
-    // would break the restart-reloads-last-promotion contract.
-    res.error = path + ": promoted, but promotion log append failed";
-  }
   if (obs::enabled()) {
     static obs::Counter* reloads = obs::registry().counter(
         "mirage_serve_checkpoint_reloads_total", "model checkpoints loaded or hot-swapped");
@@ -171,72 +165,6 @@ ModelRegistry::LoadResult ModelRegistry::load_file(const std::string& path,
     obs::global_trace().record(ev);
   }
   return res;
-}
-
-namespace {
-// Promotion-log record: u8 type | u32 cluster_len | bytes | u32 path_len |
-// bytes. RecordReader bounds-checks replay, so foreign bytes are skipped.
-constexpr std::uint8_t kRecPromotion = 1;
-}  // namespace
-
-bool ModelRegistry::journal_promotion(const std::string& cluster, const std::string& path) {
-  std::lock_guard<std::mutex> lock(promotion_mutex_);
-  if (!promotion_log_.is_open() || replaying_) return true;
-  std::uint8_t head[5], mid[4];
-  head[0] = kRecPromotion;
-  util::wal::store_u32_le(head + 1, static_cast<std::uint32_t>(cluster.size()));
-  util::wal::store_u32_le(mid, static_cast<std::uint32_t>(path.size()));
-  const util::wal::Chunk chunks[] = {
-      {head, sizeof(head)},
-      {cluster.data(), cluster.size()},
-      {mid, sizeof(mid)},
-      {path.data(), path.size()},
-  };
-  return promotion_log_.append(chunks, 4) && promotion_log_.commit();
-}
-
-bool ModelRegistry::attach_promotion_log(const std::string& dir,
-                                         const util::wal::WalOptions& options,
-                                         std::string* error) {
-  std::lock_guard<std::mutex> lock(promotion_mutex_);
-  return promotion_log_.open(dir, options, error);
-}
-
-std::size_t ModelRegistry::recover_promotions(const std::string& dir,
-                                              std::vector<LoadResult>* results,
-                                              std::string* error) {
-  std::vector<std::pair<std::string, std::string>> promotions;  // (cluster, path), log order
-  const auto replay = [&promotions](const void* data, std::size_t size) {
-    util::wal::RecordReader r(data, size);
-    if (r.u8() != kRecPromotion) return;
-    std::string cluster = r.str(r.u32());
-    std::string path = r.str(r.u32());
-    if (r.ok) promotions.emplace_back(std::move(cluster), std::move(path));
-  };
-  if (!util::wal::recover(dir, replay, nullptr, error)) return 0;
-
-  std::size_t restored = 0;
-  for (std::size_t i = 0; i < promotions.size(); ++i) {
-    // Last promotion of a (cluster, path) pair wins; earlier ones are
-    // superseded history and skipping them avoids redundant loads.
-    bool superseded = false;
-    for (std::size_t j = i + 1; j < promotions.size() && !superseded; ++j) {
-      superseded = promotions[j] == promotions[i];
-    }
-    if (superseded) continue;
-    {
-      std::lock_guard<std::mutex> lock(promotion_mutex_);
-      replaying_ = true;
-    }
-    auto res = load_file(promotions[i].second, promotions[i].first);
-    {
-      std::lock_guard<std::mutex> lock(promotion_mutex_);
-      replaying_ = false;
-    }
-    restored += res.ok;
-    if (results) results->push_back(std::move(res));
-  }
-  return restored;
 }
 
 std::size_t ModelRegistry::scan_directory(const std::string& dir,

@@ -21,7 +21,6 @@
 
 #include "core/checkpoint.hpp"
 #include "nn/dual_head.hpp"
-#include "util/wal.hpp"
 
 namespace mirage::serve {
 
@@ -151,34 +150,11 @@ class ModelRegistry {
 
   const RegistryConfig& config() const { return config_; }
 
-  /// Attach a WAL promotion log: every subsequent successful load_file is
-  /// journaled (cluster + checkpoint path), so a restarted service can
-  /// recover_promotions() and reload the last promoted checkpoint per key
-  /// instead of starting empty. false + diagnostic if the log directory
-  /// cannot be opened.
-  bool attach_promotion_log(const std::string& dir, const util::wal::WalOptions& options = {},
-                            std::string* error = nullptr);
-
-  /// Replay a promotion log into this registry: for each (cluster, path)
-  /// pair the LAST promotion wins and is re-loaded via load_file (skipping
-  /// earlier superseded entries). Checkpoints that vanished from disk are
-  /// reported as failed LoadResults, not fatal errors — recovery restores
-  /// what it can. Re-loads are not re-journaled. Returns the number of
-  /// models successfully restored.
-  std::size_t recover_promotions(const std::string& dir,
-                                 std::vector<LoadResult>* results = nullptr,
-                                 std::string* error = nullptr);
-
  private:
-  bool journal_promotion(const std::string& cluster, const std::string& path);
-
   RegistryConfig config_;
   mutable std::shared_mutex mutex_;
   std::map<ModelKey, ModelSnapshot> models_;
   std::atomic<std::uint64_t> next_version_{1};
-  std::mutex promotion_mutex_;
-  util::wal::Writer promotion_log_;
-  bool replaying_ = false;  ///< suppress re-journaling during recovery
 };
 
 /// "v100__moe_dqn.ckpt" -> "v100"; no "__" -> whole stem.

@@ -709,6 +709,10 @@ std::string ProvisioningService::health_text() const {
   std::snprintf(line, sizeof(line), "rejected_total: %llu\n",
                 static_cast<unsigned long long>(r.engine.rejected));
   out += line;
+  // The journal's failure latch: "degraded" means decisions still flow
+  // but a restart would no longer restore them.
+  out += !wal_on_ ? "durability: off\n" : wal_failed() ? "durability: degraded\n"
+                                                         : "durability: ok\n";
   return out;
 }
 

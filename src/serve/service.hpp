@@ -206,8 +206,9 @@ class ProvisioningService {
 
   /// Plain-text health verdict (the SLO engine's burn rates + alert
   /// states, prefixed with service vitals). With SLOs disabled the body
-  /// reports "status: unconfigured". This is the health endpoint the
-  /// future lab canary daemon polls.
+  /// reports "status: unconfigured". The last line is "durability:
+  /// off|ok|degraded" (no journal, journaling, or wal_failed()). This is
+  /// the health endpoint the future lab canary daemon polls.
   std::string health_text() const;
 
   /// Machine-readable alert states (empty when SLOs are disabled).

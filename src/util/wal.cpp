@@ -379,9 +379,8 @@ bool Writer::open(const std::string& dir, const WalOptions& options, std::string
   dir_ = dir;
   options_ = options;
   options_.segment_bytes = std::max<std::size_t>(options_.segment_bytes, kMagicSize + kHeaderSize);
-  buffer_.assign(std::max<std::size_t>(options_.buffer_bytes, 4096), 0);
+  buffer_.assign(kAppendBufferBytes, 0);
   buffered_ = 0;
-  records_ = 0;
 
   // Reopening over a crashed log: run the same truncation recover() does,
   // then continue appending after the last valid record.
@@ -489,7 +488,6 @@ bool Writer::append(const Chunk* chunks, std::size_t count, std::string* error) 
     buffered_ += record_size;
   }
   segment_size_ += record_size;
-  ++records_;
   return true;
 }
 
@@ -523,19 +521,6 @@ bool Writer::commit(std::string* error) {
   return roll_if_needed(error);
 }
 
-bool Writer::append_commit(const void* data, std::size_t size, std::string* error) {
-  return append(data, size, error) && commit(error);
-}
-
-bool Writer::sync(std::string* error) {
-  if (fd_ < 0) {
-    set_error(error, "wal writer is not open");
-    return false;
-  }
-  if (!flush_buffer(error)) return false;
-  return fault_fsync(fd_, dir_, error);
-}
-
 void Writer::close() {
   if (fd_ >= 0) {
     std::string ignored;
@@ -563,6 +548,7 @@ bool fsync_path(const std::string& path, std::string* error) {
   return ok;
 }
 
+namespace {
 bool fsync_dir(const std::string& dir, std::string* error) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
@@ -573,6 +559,7 @@ bool fsync_dir(const std::string& dir, std::string* error) {
   ::close(fd);
   return ok;
 }
+}  // namespace
 
 bool rename_durable(const std::string& from, const std::string& to, std::string* error) {
   if (!fault_rename(from, to, error)) return false;

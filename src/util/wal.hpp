@@ -48,6 +48,10 @@ namespace mirage::util::wal {
 /// crc32c(0, a||b).
 std::uint32_t crc32c(std::uint32_t seed, const void* data, std::size_t size);
 
+/// Preallocated append buffer; records larger than it bypass the buffer
+/// and stream straight to the file.
+inline constexpr std::size_t kAppendBufferBytes = 64u << 10;
+
 enum class SyncLevel { kNone, kOnCommit, kOnRoll };
 const char* sync_level_name(SyncLevel level);
 
@@ -56,9 +60,6 @@ struct WalOptions {
   /// Rotate to a fresh segment once the current one crosses this many
   /// bytes (checked at commit boundaries; records never span segments).
   std::size_t segment_bytes = 1u << 20;
-  /// Preallocated append buffer; records larger than it bypass the
-  /// buffer and stream straight to the file.
-  std::size_t buffer_bytes = 64u << 10;
 };
 
 /// One piece of a record assembled from multiple client buffers (header +
@@ -68,7 +69,7 @@ struct Chunk {
   std::size_t size;
 };
 
-// ---- little-endian field helpers shared by WAL clients -------------------
+// ---- little-endian field helpers for journal record encodings -----------
 inline void store_u32_le(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v);
   out[1] = static_cast<std::uint8_t>(v >> 8);
@@ -123,16 +124,6 @@ struct RecordReader {
     std::uint8_t b[8] = {};
     return take(b, 8) ? load_u64_le(b) : 0;
   }
-  std::string str(std::size_t n) {
-    if (!ok || remaining < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    remaining -= n;
-    return s;
-  }
 };
 
 struct RecoveryInfo {
@@ -171,15 +162,10 @@ class Writer {
   /// Flush buffered records to the segment; fsync at kOnCommit; rotate
   /// the segment once it crosses segment_bytes.
   bool commit(std::string* error = nullptr);
-  bool append_commit(const void* data, std::size_t size, std::string* error = nullptr);
-  /// Flush + fsync regardless of the configured sync level.
-  bool sync(std::string* error = nullptr);
   /// Commit and close (also run by the destructor).
   void close();
 
-  std::uint64_t records_appended() const { return records_; }
   std::uint64_t segment_index() const { return segment_index_; }
-  const std::string& dir() const { return dir_; }
 
  private:
   bool flush_buffer(std::string* error);
@@ -194,16 +180,14 @@ class Writer {
   int dir_fd_ = -1;
   std::uint64_t segment_index_ = 0;
   std::uint64_t segment_size_ = 0;  ///< bytes in the current segment (incl. buffered)
-  std::uint64_t records_ = 0;
 };
 
 // ---- durable filesystem helpers ------------------------------------------
 // The tmp-then-rename commit lab::ArtifactStore uses for every run file:
 // fsync the temp file BEFORE the rename and the parent directory AFTER
 // it, so a committed file survives power loss, not just process death.
-// All three route through the fault-injectable low-level ops.
+// Both route through the fault-injectable low-level ops.
 bool fsync_path(const std::string& path, std::string* error = nullptr);
-bool fsync_dir(const std::string& dir, std::string* error = nullptr);
 /// rename(2) + fsync of the destination's parent directory.
 bool rename_durable(const std::string& from, const std::string& to, std::string* error = nullptr);
 

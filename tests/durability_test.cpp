@@ -3,21 +3,23 @@
 //
 //   1. property tests: random record sizes/batches (including 0-byte and
 //      larger-than-a-segment records) round-trip bitwise across every
-//      sync level, recovery is idempotent, torn tails truncate, any
-//      single-byte corruption yields a clean prefix (never a crash or a
-//      garbage record), and a segment-numbering gap drops everything
-//      after the gap;
+//      sync level, so do records larger than the append buffer (and one
+//      torn mid-payload recovers the prefix), recovery is idempotent,
+//      torn tails truncate, any single-byte corruption yields a clean
+//      prefix (never a crash or a garbage record), and a segment-numbering
+//      gap drops everything after the gap;
 //   2. a fork-based crash-injection harness: hundreds of randomized
 //      kill/short-write/EIO points at write/fsync/segment-roll
 //      boundaries, every recovery prefix-consistent with what the dead
 //      writer had committed;
 //   3. client recovery: the lab ArtifactStore's fsynced tmp-then-rename
 //      commits (plan, checkpoints, manifests) resume to complete artifact
-//      sets (and bitwise-identical leaderboards) after kill -9, the
-//      ModelRegistry reloads its last promotion from the promotion log,
-//      and a warm-restarted ProvisioningService replays session rings so
-//      post-restart decisions are bitwise identical to an uninterrupted
-//      service.
+//      sets (and bitwise-identical leaderboards) after kill -9, and a
+//      warm-restarted ProvisioningService replays session rings from its
+//      journal (the WAL's one client) so post-restart decisions are
+//      bitwise identical to an uninterrupted service. The served model
+//      itself comes back by resuming the lab plan and re-promoting
+//      (lab_test's Promotion.RestartRepromotesSameCheckpoint).
 //
 // On a harness failure the trial's surviving WAL segments are copied to
 // ./wal_crash_artifacts/ (CI uploads the directory) before the test
@@ -233,7 +235,7 @@ TEST(WalRoundTrip, RandomSizesBatchesAndReopenAcrossSyncLevels) {
       ASSERT_TRUE(writer.open(dir, options));
       for (std::size_t i = 40; i < 48; ++i) {
         auto payload = trial_payload(seed, i);
-        ASSERT_TRUE(writer.append_commit(payload.data(), payload.size()));
+        ASSERT_TRUE(writer.append(payload.data(), payload.size()) && writer.commit());
         expected.push_back(std::move(payload));
       }
       EXPECT_GT(writer.segment_index(), 0u);  // 256-byte segments rolled
@@ -259,6 +261,47 @@ TEST(WalRoundTrip, RandomSizesBatchesAndReopenAcrossSyncLevels) {
     EXPECT_TRUE(saw_empty);
     EXPECT_TRUE(saw_oversize);
   }
+}
+
+TEST(WalRoundTrip, RecordsLargerThanTheAppendBufferStreamAndTearToThePrefix) {
+  // Records past the append buffer stream straight to the segment, after
+  // the small records buffered ahead of them.
+  constexpr std::size_t kBig = 200u << 10;
+  static_assert(kBig > wal::kAppendBufferBytes);
+  TempDir tmp("oversize");
+  wal::WalOptions options;
+  options.segment_bytes = 256;
+  std::vector<std::vector<std::uint8_t>> expected;
+  {
+    wal::Writer writer;
+    ASSERT_TRUE(writer.open(tmp.dir("log"), options));
+    for (std::size_t i = 0; i < 9; ++i) {
+      util::Rng rng(1000 + i);
+      std::vector<std::uint8_t> payload(i % 3 == 1 ? kBig + i : rng.uniform_int(0, 40));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      const std::size_t cut = payload.size() / 2;
+      const wal::Chunk chunks[] = {{payload.data(), cut},
+                                   {payload.data() + cut, payload.size() - cut}};
+      ASSERT_TRUE(writer.append(chunks, 2));
+      expected.push_back(std::move(payload));
+      ASSERT_TRUE(i % 3 != 2 || writer.commit());
+    }
+    // Die halfway through the next oversize payload (op 1 writes its
+    // header, op 2 its payload): the log keeps a torn record.
+    const std::vector<std::uint8_t> torn(kBig, 0x5A);
+    walt::arm_fault(2, walt::FaultMode::kShortWriteError, 0.5);
+    EXPECT_FALSE(writer.append(torn.data(), torn.size()));
+    walt::disarm_fault();
+  }
+  wal::RecoveryInfo info;
+  bool ok = false;
+  std::string error;
+  const auto recovered = recover_records(tmp.dir("log"), &info, &ok, &error);
+  ASSERT_TRUE(ok) << error;
+  EXPECT_TRUE(info.torn_tail);
+  EXPECT_EQ(info.truncated_bytes, 8u + kBig / 2);  // header + the half written
+  ASSERT_EQ(recovered.size(), expected.size());
+  EXPECT_TRUE(recovered == expected);
 }
 
 TEST(WalRecovery, IdempotentAndTornTailTruncation) {
@@ -324,7 +367,7 @@ TEST(WalRecovery, SingleByteFlipsNeverYieldGarbageRecords) {
       util::Rng rng(seed * 131 + i);
       std::vector<std::uint8_t> payload(static_cast<std::size_t>(rng.uniform_int(0, 40)));
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      ASSERT_TRUE(writer.append_commit(payload.data(), payload.size()));
+      ASSERT_TRUE(writer.append(payload.data(), payload.size()) && writer.commit());
       expected.push_back(std::move(payload));
     }
   }
@@ -411,7 +454,7 @@ TEST(WalRecovery, MissingDirAndEmptySegmentAreValidEmptyLogs) {
   {
     wal::Writer writer;
     ASSERT_TRUE(writer.open(tmp.dir("log"), {}));
-    ASSERT_TRUE(writer.append_commit("x", 1));
+    ASSERT_TRUE(writer.append("x", 1) && writer.commit());
   }
   EXPECT_EQ(recover_records(tmp.dir("log"), nullptr, &ok).size(), 1u);
   EXPECT_TRUE(ok);
@@ -569,7 +612,7 @@ TEST(WalCrashHarness, RandomizedKillPointsRecoverPrefixConsistent) {
     if (!HasFailure()) {
       wal::Writer writer;
       EXPECT_TRUE(writer.open(w.dir, w.options, &error)) << error;
-      EXPECT_TRUE(writer.append_commit("post-crash", 10));
+      EXPECT_TRUE(writer.append("post-crash", 10) && writer.commit());
       writer.close();
       bool ok2 = false;
       const auto extended = recover_records(w.dir, nullptr, &ok2);
@@ -790,9 +833,9 @@ TEST(LabCrashHarness, DamagedRunResumesToBitwiseIdenticalLeaderboard) {
   EXPECT_FALSE(fs::exists(fs::path(run_dir) / "orphan.ckpt"));
 }
 
-// ------------------------------------------------- promotion-log recovery
+// ------------------------------------------------------ serve warm restart
 
-nn::FoundationConfig promo_net() {
+nn::FoundationConfig serve_net() {
   nn::FoundationConfig net;
   net.history_len = 6;
   net.state_dim = rl::kFrameDim;
@@ -804,89 +847,18 @@ nn::FoundationConfig promo_net() {
   return net;
 }
 
-serve::RegistryConfig promo_registry_config() {
+serve::RegistryConfig serve_registry_config() {
   serve::RegistryConfig cfg;
-  cfg.net_defaults = promo_net();
+  cfg.net_defaults = serve_net();
   return cfg;
 }
 
-rl::DqnAgent promo_dqn(std::uint64_t seed) {
+rl::DqnAgent serve_dqn(std::uint64_t seed) {
   rl::DqnConfig cfg;
   cfg.foundation = nn::FoundationType::kMoE;
-  cfg.net = promo_net();
+  cfg.net = serve_net();
   return rl::DqnAgent(cfg, seed);
 }
-
-TEST(PromotionLog, RestartReloadsLastPromotionPerCluster) {
-  TempDir tmp("promolog");
-  const std::string log_dir = tmp.dir("promotions");
-  auto a1 = promo_dqn(11), a2 = promo_dqn(13), v1 = promo_dqn(17);
-  ASSERT_TRUE(core::save_agent(a1, tmp.dir("a100__v1.ckpt")));
-  ASSERT_TRUE(core::save_agent(a2, tmp.dir("a100__v2.ckpt")));
-  ASSERT_TRUE(core::save_agent(v1, tmp.dir("v100__v1.ckpt")));
-
-  {
-    serve::ModelRegistry registry(promo_registry_config());
-    std::string error;
-    ASSERT_TRUE(registry.attach_promotion_log(log_dir, {}, &error)) << error;
-    ASSERT_TRUE(registry.load_file(tmp.dir("a100__v1.ckpt"), "a100").ok);
-    ASSERT_TRUE(registry.load_file(tmp.dir("a100__v2.ckpt"), "a100").ok);
-    ASSERT_TRUE(registry.load_file(tmp.dir("v100__v1.ckpt"), "v100").ok);
-  }
-
-  // A restarted registry replays the log: per cluster the LAST promotion
-  // wins (a100 serves v2, not v1).
-  {
-    serve::ModelRegistry restarted(promo_registry_config());
-    std::vector<serve::ModelRegistry::LoadResult> results;
-    std::string error;
-    const auto restored = restarted.recover_promotions(log_dir, &results, &error);
-    EXPECT_TRUE(error.empty()) << error;
-    EXPECT_GE(restored, 2u);
-    EXPECT_EQ(restarted.size(), 2u);
-    const auto a100 = restarted.find("a100", "dqn");
-    ASSERT_NE(a100, nullptr);
-    EXPECT_EQ(a100->path(), tmp.dir("a100__v2.ckpt"));
-    EXPECT_NE(restarted.find("v100", "dqn"), nullptr);
-
-    // Replay must not re-journal (the log would grow on every restart);
-    // a FRESH promotion after recovery appends and becomes the new last.
-    ASSERT_TRUE(restarted.attach_promotion_log(log_dir, {}, &error)) << error;
-    ASSERT_TRUE(restarted.load_file(tmp.dir("a100__v1.ckpt"), "a100").ok);
-  }
-  {
-    serve::ModelRegistry again(promo_registry_config());
-    ASSERT_GE(again.recover_promotions(log_dir), 2u);
-    const auto a100 = again.find("a100", "dqn");
-    ASSERT_NE(a100, nullptr);
-    EXPECT_EQ(a100->path(), tmp.dir("a100__v1.ckpt"));
-  }
-
-  // A torn log tail truncates silently; a vanished checkpoint degrades to
-  // a per-entry error, never a failed recovery.
-  {
-    std::ofstream tear(segment_files(log_dir).back(), std::ios::binary | std::ios::app);
-    tear << "torn!";
-  }
-  fs::remove(tmp.dir("v100__v1.ckpt"));
-  serve::ModelRegistry degraded(promo_registry_config());
-  std::vector<serve::ModelRegistry::LoadResult> results;
-  std::string error;
-  const auto restored = degraded.recover_promotions(log_dir, &results, &error);
-  EXPECT_TRUE(error.empty()) << error;
-  // Successful replay loads: a100__v2 and the final a100__v1 (same
-  // registry key, v1 wins); only the vanished v100 checkpoint fails.
-  EXPECT_EQ(restored, 2u);
-  EXPECT_EQ(degraded.size(), 1u);
-  const auto degraded_a100 = degraded.find("a100", "dqn");
-  ASSERT_NE(degraded_a100, nullptr);
-  EXPECT_EQ(degraded_a100->path(), tmp.dir("a100__v1.ckpt"));
-  bool saw_missing = false;
-  for (const auto& r : results) saw_missing = saw_missing || (!r.ok && !r.error.empty());
-  EXPECT_TRUE(saw_missing);
-}
-
-// --------------------------------------------- serve warm restart (tentpole)
 
 sim::StateSample serve_sample(std::uint64_t session, std::uint64_t step) {
   util::Rng rng(session * 1000003ull + step * 7919ull + 1);
@@ -912,7 +884,7 @@ rl::JobPairContext serve_ctx(std::uint64_t session) {
 
 serve::ServiceConfig serve_wal_config(const std::string& wal_dir) {
   serve::ServiceConfig cfg;
-  cfg.history_len = promo_net().history_len;
+  cfg.history_len = serve_net().history_len;
   cfg.shards = 2;
   cfg.engine.max_batch = 4;
   cfg.engine.coalesce_wait = std::chrono::microseconds(0);
@@ -923,9 +895,9 @@ serve::ServiceConfig serve_wal_config(const std::string& wal_dir) {
 
 TEST(ServeWal, WarmRestartReplaysRingsCountersAndServesBitwiseDecisions) {
   TempDir tmp("swarm");
-  auto agent = promo_dqn(23);
+  auto agent = serve_dqn(23);
   ASSERT_TRUE(core::save_agent(agent, tmp.dir("a100__serve.ckpt")));
-  serve::ModelRegistry registry(promo_registry_config());
+  serve::ModelRegistry registry(serve_registry_config());
   const auto load = registry.load_file(tmp.dir("a100__serve.ckpt"), "a100");
   ASSERT_TRUE(load.ok) << load.error;
   const auto model = registry.lookup(load.key);
@@ -1018,9 +990,9 @@ TEST(ServeWal, WarmRestartReplaysRingsCountersAndServesBitwiseDecisions) {
 
 TEST(ServeWal, KillNineThenWarmRestartServesBitwiseIdenticalDecisions) {
   TempDir tmp("skill9");
-  auto agent = promo_dqn(29);
+  auto agent = serve_dqn(29);
   ASSERT_TRUE(core::save_agent(agent, tmp.dir("a100__serve.ckpt")));
-  serve::ModelRegistry registry(promo_registry_config());
+  serve::ModelRegistry registry(serve_registry_config());
   const auto load = registry.load_file(tmp.dir("a100__serve.ckpt"), "a100");
   ASSERT_TRUE(load.ok) << load.error;
   const auto model = registry.lookup(load.key);
@@ -1089,9 +1061,9 @@ TEST(ServeWal, KillNineThenWarmRestartServesBitwiseIdenticalDecisions) {
 
 TEST(ServeWal, TornJournalTailRestoresThePrefixAndKeepsServing) {
   TempDir tmp("storn");
-  auto agent = promo_dqn(31);
+  auto agent = serve_dqn(31);
   ASSERT_TRUE(core::save_agent(agent, tmp.dir("a100__serve.ckpt")));
-  serve::ModelRegistry registry(promo_registry_config());
+  serve::ModelRegistry registry(serve_registry_config());
   const auto load = registry.load_file(tmp.dir("a100__serve.ckpt"), "a100");
   ASSERT_TRUE(load.ok) << load.error;
   const auto model = registry.lookup(load.key);
@@ -1116,6 +1088,40 @@ TEST(ServeWal, TornJournalTailRestoresThePrefixAndKeepsServing) {
   b.start();
   EXPECT_NO_THROW((void)b.decide(1));
   b.drain_and_stop();
+}
+
+TEST(ServeWal, JournalFailureLatchesDegradedHealthWhileDecisionsFlow) {
+  TempDir tmp("sdegraded");
+  auto agent = serve_dqn(37);
+  ASSERT_TRUE(core::save_agent(agent, tmp.dir("a100__serve.ckpt")));
+  serve::ModelRegistry registry(serve_registry_config());
+  const auto load = registry.load_file(tmp.dir("a100__serve.ckpt"), "a100");
+  ASSERT_TRUE(load.ok) << load.error;
+  const auto model = registry.lookup(load.key);
+
+  serve::ProvisioningService unjournaled(model, serve_wal_config(""));
+  EXPECT_NE(unjournaled.health_text().find("durability: off\n"), std::string::npos);
+
+  serve::ProvisioningService service(model, serve_wal_config(tmp.dir("swal")));
+  service.start();
+  const auto id = service.open_session();
+  service.observe(id, serve_sample(1, 0), serve_ctx(1));
+  (void)service.decide(id);
+  EXPECT_NE(service.health_text().find("durability: ok\n"), std::string::npos);
+
+  // The next durable op is the journal's write of the next observed
+  // frame: fail it, then keep serving.
+  walt::arm_fault(1, walt::FaultMode::kError);
+  for (std::uint64_t t = 1; t < 6; ++t) {
+    service.observe(id, serve_sample(1, t), serve_ctx(1));
+    EXPECT_NO_THROW((void)service.decide(id));
+  }
+  walt::disarm_fault();
+  EXPECT_TRUE(service.wal_failed());
+  EXPECT_EQ(service.report().decisions, 6u);
+  const std::string health = service.health_text();
+  EXPECT_NE(health.find("durability: degraded\n"), std::string::npos) << health;
+  service.drain_and_stop();
 }
 
 }  // namespace

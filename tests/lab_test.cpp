@@ -560,6 +560,50 @@ TEST(Promotion, BestCheckpointHotReloadsIntoLiveServiceUnderConcurrentSessions) 
             static_cast<std::uint64_t>(kClients * kDecisionsPerClient));
 }
 
+TEST(Promotion, RestartRepromotesSameCheckpoint) {
+  // The served model needs no log of its own: after a restart the lab's
+  // manifests resume every job without retraining, and promote_best picks
+  // the same checkpoint, which serves bitwise-equal decisions.
+  TempDir tmp("repromote");
+  const auto plan = tiny_plan("repromote");
+  PromotionResult before;
+  std::vector<std::vector<float>> observations;
+  std::vector<serve::Decision> decided;
+  {
+    ArtifactStore store(tmp.dir("store"));
+    const auto report = LabRunner(/*threads=*/2).run(plan, store);
+    serve::ModelRegistry registry(registry_config(plan));
+    before = promote_best(report.leaderboard, plan, store, registry);
+    ASSERT_TRUE(before.ok) << before.error;
+    const auto model = registry.lookup(before.key);
+    ASSERT_NE(model, nullptr);
+    util::Rng rng(7);
+    observations.assign(5, std::vector<float>(model->observation_dim()));
+    for (auto& o : observations) {
+      for (auto& x : o) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    decided = model->infer(observations);
+  }
+
+  ArtifactStore store(tmp.dir("store"));
+  const auto resumed = LabRunner(/*threads=*/2).run(plan, store);
+  EXPECT_EQ(resumed.jobs_run, 0u);
+  serve::ModelRegistry registry(registry_config(plan));
+  const auto after = promote_best(resumed.leaderboard, plan, store, registry);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(after.checkpoint_path, before.checkpoint_path);
+  EXPECT_EQ(after.key, before.key);
+  const auto model = registry.lookup(after.key);
+  ASSERT_NE(model, nullptr);
+  const auto redecided = model->infer(observations);
+  ASSERT_EQ(redecided.size(), decided.size());
+  for (std::size_t i = 0; i < decided.size(); ++i) {
+    EXPECT_EQ(redecided[i].action, decided[i].action) << "observation " << i;
+    EXPECT_EQ(redecided[i].score_wait, decided[i].score_wait) << "observation " << i;
+    EXPECT_EQ(redecided[i].score_submit, decided[i].score_submit) << "observation " << i;
+  }
+}
+
 TEST(Promotion, PartitionedPlanTrainsAndPromotesWiderFrames) {
   // End-to-end acceptance: an RL method trained on a 3-partition cell (its
   // episodes observing per-partition capacity features and replaying the
