@@ -87,11 +87,6 @@ int main(int argc, char** argv) {
                   records, payload, batch);
   std::printf("sync=none    %10.0f appends/s  (%.1f MiB/s payload)\n", none.appends_per_sec,
               none.mb_per_sec);
-  const auto roll =
-      run_appends((root / "roll").string(), util::wal::SyncLevel::kOnRoll, segment_bytes,
-                  records / 2, payload, batch);
-  std::printf("sync=roll    %10.0f appends/s  (%.1f MiB/s payload)\n", roll.appends_per_sec,
-              roll.mb_per_sec);
   const auto commit =
       run_appends((root / "commit").string(), util::wal::SyncLevel::kOnCommit, segment_bytes,
                   std::max<std::uint64_t>(records / 50, 2000), payload, batch);
@@ -163,7 +158,6 @@ int main(int argc, char** argv) {
                          std::to_string(payload) + ",batch=" + std::to_string(batch) +
                          ",segment_kb=" + std::to_string(segment_bytes / 1024))
       .add("wal_appends_per_sec", none.appends_per_sec)
-      .add("wal_appends_per_sec_roll", roll.appends_per_sec)
       .add("wal_appends_per_sec_commit", commit.appends_per_sec)
       .add("wal_payload_mb_per_sec", none.mb_per_sec)
       .add("wal_recover_records_per_sec", recover_records_per_sec)

@@ -93,7 +93,6 @@ void ProvisioningService::configure_slos() {
   latency.target_seconds = c.latency_target_seconds;
   latency.short_window_seconds = c.short_window_seconds;
   latency.long_window_seconds = c.long_window_seconds;
-  latency.burn_threshold = c.burn_threshold;
   latency.pending_seconds = c.pending_seconds;
   latency.resolve_seconds = c.resolve_seconds;
   slos_.add(std::move(latency));
@@ -106,7 +105,6 @@ void ProvisioningService::configure_slos() {
   reject.budget = c.reject_budget;
   reject.short_window_seconds = c.short_window_seconds;
   reject.long_window_seconds = c.long_window_seconds;
-  reject.burn_threshold = c.burn_threshold;
   reject.pending_seconds = c.pending_seconds;
   reject.resolve_seconds = c.resolve_seconds;
   slos_.add(std::move(reject));
@@ -203,7 +201,7 @@ void ProvisioningService::close_session(SessionId id) {
     erased = it != shard.sessions.end();
     if (erased) shard.erase(it);
   }
-  if (erased) journal_close(id);
+  if (erased) journal_id(kRecClose, id);
 }
 
 std::shared_ptr<ProvisioningService::Session> ProvisioningService::find_session(
@@ -222,7 +220,7 @@ std::shared_ptr<ProvisioningService::Session> ProvisioningService::find_session(
       // a zombie ring.
       shard.erase(it);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      journal_evict(id);
+      journal_id(kRecEvict, id);
       throw_unknown_session(id);
     }
     session->last_access_seconds = now;
@@ -239,7 +237,7 @@ double ProvisioningService::pop_expired(Shard& shard, double now, std::size_t* e
   while (shard.oldest && now - shard.oldest->last_access_seconds > ttl) {
     const SessionId id = shard.oldest->id;
     shard.erase(shard.sessions.find(id));
-    journal_evict(id);
+    journal_id(kRecEvict, id);
     ++popped;
   }
   if (popped) shard.evictions.fetch_add(popped, std::memory_order_relaxed);
@@ -327,7 +325,6 @@ void ProvisioningService::observe(SessionId id, const sim::StateSample& sample,
 
 void ProvisioningService::record_served(Session& session, const Decision& d) const {
   Shard& shard = shard_of(session.id);
-  session.decisions.fetch_add(1, std::memory_order_relaxed);
   shard.decisions.fetch_add(1, std::memory_order_relaxed);
   if (d.action == 1) shard.submits.fetch_add(1, std::memory_order_relaxed);
   journal_decision(session.id, d.action);
@@ -478,8 +475,6 @@ void ProvisioningService::replay_wal() {
           shard.submits.fetch_add(1, std::memory_order_relaxed);
           ++info.submits;
         }
-        const auto it = live.find(id);
-        if (it != live.end()) it->second->decisions.fetch_add(1, std::memory_order_relaxed);
         ++info.decisions;
         break;
       }
@@ -542,10 +537,10 @@ void ProvisioningService::journal_open(SessionId id) const {
   journal_append(&chunk, 1);
 }
 
-void ProvisioningService::journal_close(SessionId id) const {
+void ProvisioningService::journal_id(std::uint8_t tag, SessionId id) const {
   if (!wal_on_) return;
   std::uint8_t head[9];
-  head[0] = kRecClose;
+  head[0] = tag;
   util::wal::store_u64_le(head + 1, id);
   const util::wal::Chunk chunk{head, sizeof(head)};
   journal_append(&chunk, 1);
@@ -571,15 +566,6 @@ void ProvisioningService::journal_decision(SessionId id, int action) const {
   head[0] = kRecDecision;
   util::wal::store_u64_le(head + 1, id);
   head[9] = static_cast<std::uint8_t>(action == 1 ? 1 : 0);
-  const util::wal::Chunk chunk{head, sizeof(head)};
-  journal_append(&chunk, 1);
-}
-
-void ProvisioningService::journal_evict(SessionId id) const {
-  if (!wal_on_) return;
-  std::uint8_t head[9];
-  head[0] = kRecEvict;
-  util::wal::store_u64_le(head + 1, id);
   const util::wal::Chunk chunk{head, sizeof(head)};
   journal_append(&chunk, 1);
 }

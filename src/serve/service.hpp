@@ -99,7 +99,6 @@ struct ServiceSloConfig {
   double reject_budget = 0.01;
   double short_window_seconds = 2.0;
   double long_window_seconds = 10.0;
-  double burn_threshold = 1.0;
   double pending_seconds = 0.0;  ///< `for` duration before firing
   double resolve_seconds = 2.0;  ///< clear hold-down before resolved
   /// Dump a flight-recorder bundle when an SLO transitions to firing.
@@ -235,7 +234,6 @@ class ProvisioningService {
     const SessionId id;  ///< immutable; lets completion hooks journal by id
     mutable std::mutex mutex;
     rl::StateEncoder encoder;
-    std::atomic<std::uint64_t> decisions{0};
     // Guarded by the owning shard's mutex: the access-order list links
     // and the last open/touch instant (util::wall_seconds).
     Session* older = nullptr;
@@ -302,10 +300,10 @@ class ProvisioningService {
   void replay_wal();
   void journal_append(const util::wal::Chunk* chunks, std::size_t count) const;
   void journal_open(SessionId id) const;
-  void journal_close(SessionId id) const;
+  /// The 9-byte `tag | u64 id` record (kRecClose or kRecEvict).
+  void journal_id(std::uint8_t tag, SessionId id) const;
   void journal_frame(SessionId id, const float* frame, std::size_t size) const;
   void journal_decision(SessionId id, int action) const;
-  void journal_evict(SessionId id) const;
   /// Group commit (sweeper tick / drain): flush + segment-roll + fsync per
   /// the configured sync level.
   void journal_commit() const;

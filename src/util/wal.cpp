@@ -54,15 +54,6 @@ std::uint32_t crc32c(std::uint32_t seed, const void* data, std::size_t size) {
   return ~crc;
 }
 
-const char* sync_level_name(SyncLevel level) {
-  switch (level) {
-    case SyncLevel::kNone: return "none";
-    case SyncLevel::kOnCommit: return "on_commit";
-    case SyncLevel::kOnRoll: return "on_roll";
-  }
-  return "?";
-}
-
 // ---- fault injector -------------------------------------------------------
 
 namespace testing {
@@ -96,31 +87,8 @@ std::uint64_t fault_ops_seen() { return g_ops.load(std::memory_order_relaxed); }
 
 namespace {
 
-struct FaultAction {
-  bool fire = false;
-  testing::FaultMode mode = testing::FaultMode::kNone;
-  double fraction = 0.0;
-};
-
-FaultAction consult_fault() {
-  FaultAction action;
-  if (!testing::g_armed.load(std::memory_order_acquire)) return action;
-  const std::uint64_t op = testing::g_ops.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (testing::g_trigger != 0 && op == testing::g_trigger &&
-      testing::g_mode != testing::FaultMode::kNone) {
-    action.fire = true;
-    action.mode = testing::g_mode;
-    action.fraction = testing::g_fraction;
-  }
-  return action;
-}
-
-[[noreturn]] void fault_kill() {
-  ::raise(SIGKILL);
-  ::_exit(137);  // unreachable unless SIGKILL is somehow blocked
-}
-
-bool write_all(int fd, const std::uint8_t* p, std::size_t n) {
+bool write_all(int fd, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
   while (n > 0) {
     const ssize_t w = ::write(fd, p, n);
     if (w < 0) {
@@ -133,32 +101,35 @@ bool write_all(int fd, const std::uint8_t* p, std::size_t n) {
   return true;
 }
 
-// The four durable primitives every WAL client funnels through. Each is
-// one countable fault boundary: the injector can kill the process here,
-// make the op fail with EIO, or (for writes) complete only a prefix.
+// The one fault hook. Every durable primitive (write, fsync, segment
+// create, rename) calls it before the real op, so each call is one
+// countable fault boundary. At the armed op it kills the process or fails
+// with injected EIO; the short-write modes first complete a prefix of
+// `data` when the op is a write. Returns false when the real op must not
+// run.
+bool fault_allows(const char* op, const std::string& path, std::string* error, int fd = -1,
+                  const void* data = nullptr, std::size_t size = 0) {
+  using testing::FaultMode;
+  if (!testing::g_armed.load(std::memory_order_acquire)) return true;
+  const std::uint64_t n = testing::g_ops.fetch_add(1, std::memory_order_relaxed) + 1;
+  const FaultMode mode = testing::g_mode;
+  if (n != testing::g_trigger || mode == FaultMode::kNone) return true;
+  if (data != nullptr &&
+      (mode == FaultMode::kShortWriteKill || mode == FaultMode::kShortWriteError)) {
+    write_all(fd, data, static_cast<std::size_t>(static_cast<double>(size) * testing::g_fraction));
+  }
+  if (mode == FaultMode::kKill || mode == FaultMode::kShortWriteKill) {
+    ::raise(SIGKILL);
+    ::_exit(137);  // unreachable unless SIGKILL is somehow blocked
+  }
+  set_error(error, std::string("injected EIO ") + op + " " + path);
+  return false;
+}
+
 bool fault_write(int fd, const void* data, std::size_t size, const std::string& path,
                  std::string* error) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  const FaultAction fault = consult_fault();
-  if (fault.fire) {
-    const std::size_t prefix = static_cast<std::size_t>(static_cast<double>(size) * fault.fraction);
-    switch (fault.mode) {
-      case testing::FaultMode::kKill:
-        fault_kill();
-      case testing::FaultMode::kShortWriteKill:
-        write_all(fd, p, prefix);
-        fault_kill();
-      case testing::FaultMode::kShortWriteError:
-        write_all(fd, p, prefix);
-        [[fallthrough]];
-      case testing::FaultMode::kError:
-        set_error(error, "injected EIO writing " + path);
-        return false;
-      case testing::FaultMode::kNone:
-        break;
-    }
-  }
-  if (!write_all(fd, p, size)) {
+  if (!fault_allows("writing", path, error, fd, data, size)) return false;
+  if (!write_all(fd, data, size)) {
     set_error(error, errno_message("write", path));
     return false;
   }
@@ -166,64 +137,9 @@ bool fault_write(int fd, const void* data, std::size_t size, const std::string& 
 }
 
 bool fault_fsync(int fd, const std::string& path, std::string* error) {
-  const FaultAction fault = consult_fault();
-  if (fault.fire) {
-    switch (fault.mode) {
-      case testing::FaultMode::kKill:
-      case testing::FaultMode::kShortWriteKill:
-        fault_kill();
-      case testing::FaultMode::kError:
-      case testing::FaultMode::kShortWriteError:
-        set_error(error, "injected EIO syncing " + path);
-        return false;
-      case testing::FaultMode::kNone:
-        break;
-    }
-  }
+  if (!fault_allows("syncing", path, error)) return false;
   if (::fsync(fd) != 0) {
     set_error(error, errno_message("fsync", path));
-    return false;
-  }
-  return true;
-}
-
-int fault_open_create(const std::string& path, std::string* error) {
-  const FaultAction fault = consult_fault();
-  if (fault.fire) {
-    switch (fault.mode) {
-      case testing::FaultMode::kKill:
-      case testing::FaultMode::kShortWriteKill:
-        fault_kill();
-      case testing::FaultMode::kError:
-      case testing::FaultMode::kShortWriteError:
-        set_error(error, "injected EIO creating " + path);
-        return -1;
-      case testing::FaultMode::kNone:
-        break;
-    }
-  }
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) set_error(error, errno_message("open", path));
-  return fd;
-}
-
-bool fault_rename(const std::string& from, const std::string& to, std::string* error) {
-  const FaultAction fault = consult_fault();
-  if (fault.fire) {
-    switch (fault.mode) {
-      case testing::FaultMode::kKill:
-      case testing::FaultMode::kShortWriteKill:
-        fault_kill();
-      case testing::FaultMode::kError:
-      case testing::FaultMode::kShortWriteError:
-        set_error(error, "injected EIO renaming " + from);
-        return false;
-      case testing::FaultMode::kNone:
-        break;
-    }
-  }
-  if (::rename(from.c_str(), to.c_str()) != 0) {
-    set_error(error, errno_message("rename", from + " -> " + to));
     return false;
   }
   return true;
@@ -393,30 +309,25 @@ bool Writer::open(const std::string& dir, const WalOptions& options, std::string
     return false;
   }
 
-  if (segments.empty()) return open_segment(0, error);
+  if (segments.empty()) return open_segment(0, error) || stop();
 
   const SegmentFile& last = segments.back();
   fd_ = ::open(last.path.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) {
     set_error(error, errno_message("open", last.path));
-    close();
-    return false;
+    return stop();
   }
   segment_index_ = last.index;
   std::error_code size_ec;
   segment_size_ = fs::file_size(last.path, size_ec);
   if (size_ec) {
     set_error(error, "stat failed for " + last.path + ": " + size_ec.message());
-    close();
-    return false;
+    return stop();
   }
   if (segment_size_ == 0) {
     // Recovery truncated a torn magic back to zero — restore the header
     // before the first new record.
-    if (!fault_write(fd_, kMagic, kMagicSize, last.path, error)) {
-      close();
-      return false;
-    }
+    if (!fault_write(fd_, kMagic, kMagicSize, last.path, error)) return stop();
     segment_size_ = kMagicSize;
   }
   return true;
@@ -424,13 +335,17 @@ bool Writer::open(const std::string& dir, const WalOptions& options, std::string
 
 bool Writer::open_segment(std::uint64_t index, std::string* error) {
   const std::string path = segment_path(dir_, index);
-  const int fd = fault_open_create(path, error);
-  if (fd < 0) return false;
+  if (!fault_allows("creating", path, error)) return false;
+  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) {
+    set_error(error, errno_message("open", path));
+    return false;
+  }
   if (!fault_write(fd, kMagic, kMagicSize, path, error)) {
     ::close(fd);
     return false;
   }
-  if (options_.sync != SyncLevel::kNone) {
+  if (options_.sync == SyncLevel::kOnCommit) {
     // Make the segment's directory entry durable so a power loss can't
     // orphan records written into a file the directory forgot.
     if (!fault_fsync(dir_fd_, dir_, error)) {
@@ -469,14 +384,14 @@ bool Writer::append(const Chunk* chunks, std::size_t count, std::string* error) 
 
   const std::size_t record_size = kHeaderSize + payload_size;
   if (buffered_ + record_size > buffer_.size() && buffered_ > 0) {
-    if (!flush_buffer(error)) return false;
+    if (!flush_buffer(error)) return stop();
   }
   if (record_size > buffer_.size()) {
     // Oversized record: stream straight to the file, keeping append
     // allocation-free regardless of record size.
-    if (!fault_write(fd_, header, kHeaderSize, dir_, error)) return false;
+    if (!fault_write(fd_, header, kHeaderSize, dir_, error)) return stop();
     for (std::size_t i = 0; i < count; ++i) {
-      if (!fault_write(fd_, chunks[i].data, chunks[i].size, dir_, error)) return false;
+      if (!fault_write(fd_, chunks[i].data, chunks[i].size, dir_, error)) return stop();
     }
   } else {
     std::memcpy(buffer_.data() + buffered_, header, kHeaderSize);
@@ -498,41 +413,35 @@ bool Writer::flush_buffer(std::string* error) {
   return true;
 }
 
-bool Writer::roll_if_needed(std::string* error) {
-  if (segment_size_ < options_.segment_bytes) return true;
-  if (options_.sync == SyncLevel::kOnRoll) {
-    // The finished segment is the durability unit at this level.
-    if (!fault_fsync(fd_, dir_, error)) return false;
-  }
-  ::close(fd_);
-  fd_ = -1;
-  return open_segment(segment_index_ + 1, error);
-}
-
 bool Writer::commit(std::string* error) {
   if (fd_ < 0) {
     set_error(error, "wal writer is not open");
     return false;
   }
-  if (!flush_buffer(error)) return false;
-  if (options_.sync == SyncLevel::kOnCommit) {
-    if (!fault_fsync(fd_, dir_, error)) return false;
-  }
-  return roll_if_needed(error);
+  if (!flush_buffer(error)) return stop();
+  if (options_.sync == SyncLevel::kOnCommit && !fault_fsync(fd_, dir_, error)) return stop();
+  if (segment_size_ < options_.segment_bytes) return true;
+  // Rotate at this commit boundary, so records never span segments.
+  ::close(fd_);
+  fd_ = -1;
+  return open_segment(segment_index_ + 1, error) || stop();
 }
 
 void Writer::close() {
   if (fd_ >= 0) {
     std::string ignored;
     commit(&ignored);  // best effort: don't lose buffered records on close
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
   }
-  if (dir_fd_ >= 0) {
-    ::close(dir_fd_);
-    dir_fd_ = -1;
-  }
+  stop();
+}
+
+bool Writer::stop() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  if (dir_fd_ >= 0) ::close(dir_fd_);
+  dir_fd_ = -1;
   buffered_ = 0;
+  return false;
 }
 
 // ---- durable filesystem helpers ------------------------------------------
@@ -562,7 +471,11 @@ bool fsync_dir(const std::string& dir, std::string* error) {
 }  // namespace
 
 bool rename_durable(const std::string& from, const std::string& to, std::string* error) {
-  if (!fault_rename(from, to, error)) return false;
+  if (!fault_allows("renaming", from, error)) return false;
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    set_error(error, errno_message("rename", from + " -> " + to));
+    return false;
+  }
   const std::string parent = fs::path(to).parent_path().string();
   return fsync_dir(parent.empty() ? "." : parent, error);
 }

@@ -15,25 +15,29 @@
 // boundaries once a segment crosses WalOptions::segment_bytes, so a
 // record may legally exceed the segment size.
 //
-// Durability levels mirror snkv's sync levels:
+// Two durability levels:
 //   kNone     — no fsync anywhere. Survives process death for everything
 //               the writer flushed (write(2) completed); buffered bytes
 //               since the last commit() are lost with the process.
-//   kOnCommit — fsync the segment on every commit(). Survives power loss
-//               up to the last commit.
-//   kOnRoll   — fsync only when a segment is finished (rotation) plus the
-//               directory when a segment is created. Survives power loss
-//               up to the last completed segment.
+//   kOnCommit — fsync the segment on every commit() and the directory on
+//               every segment create. Survives power loss up to the last
+//               commit.
 //
 // The writer appends into one preallocated buffer and flushes with plain
 // write(2), so steady-state append()+commit() performs ZERO heap
 // allocations — serve journals decisions from its zero-alloc decide path.
 //
+// One failure rule: the first write, fsync or segment roll that fails
+// inside append() or commit() closes the writer without committing, and
+// every later append()/commit() returns false until open() runs again.
+// open() truncates the torn tail, so a reopened writer continues the
+// committed prefix instead of writing after bytes recovery would drop.
+//
 // Every low-level durable operation (write, fsync, segment create,
-// rename) consults wal::testing's fault injector, so the crash-injection
-// harness can kill or error the writer at any of hundreds of randomized
-// write/fsync/roll/rename boundaries and assert that recovery is
-// prefix-consistent every time.
+// rename) passes through one fault hook in wal::testing, so the
+// crash-injection harness can kill or error the writer at any of
+// hundreds of randomized write/fsync/roll/rename boundaries and assert
+// that recovery is prefix-consistent every time.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +56,7 @@ std::uint32_t crc32c(std::uint32_t seed, const void* data, std::size_t size);
 /// and stream straight to the file.
 inline constexpr std::size_t kAppendBufferBytes = 64u << 10;
 
-enum class SyncLevel { kNone, kOnCommit, kOnRoll };
-const char* sync_level_name(SyncLevel level);
+enum class SyncLevel { kNone, kOnCommit };
 
 struct WalOptions {
   SyncLevel sync = SyncLevel::kOnCommit;
@@ -144,7 +147,8 @@ bool recover(const std::string& dir, const std::function<void(const void*, std::
 
 /// Append-only writer. open() runs the same torn-tail truncation as
 /// recover() and then positions at the end of the last valid record, so
-/// a writer reopened over a crashed log continues the prefix.
+/// a writer reopened over a crashed log continues the prefix. A failed
+/// write, fsync or roll closes the writer (is_open() turns false).
 class Writer {
  public:
   Writer() = default;
@@ -169,8 +173,9 @@ class Writer {
 
  private:
   bool flush_buffer(std::string* error);
-  bool roll_if_needed(std::string* error);
   bool open_segment(std::uint64_t index, std::string* error);
+  /// Close without committing; returns false for `return stop();`.
+  bool stop();
 
   std::string dir_;
   WalOptions options_;
@@ -194,9 +199,6 @@ bool rename_durable(const std::string& from, const std::string& to, std::string*
 // ---- crash-injection hooks (tests only) ----------------------------------
 namespace testing {
 
-/// The low-level durable operations a fault can land on.
-enum class FaultPoint { kWrite, kFsync, kSegmentOpen, kRename };
-
 enum class FaultMode {
   kNone,             ///< count ops without faulting (calibration pass)
   kKill,             ///< SIGKILL the process at the op boundary
@@ -206,10 +208,10 @@ enum class FaultMode {
 };
 
 /// Arm the process-wide injector: the trigger_op-th durable op from now
-/// (1-based, counted across all fault points) performs `mode`;
-/// trigger_op == 0 counts without firing. `short_write_fraction` in
-/// [0, 1) picks how much of a kWrite completes for the short-write modes
-/// (non-write points degrade short-write modes to kKill / kError).
+/// (1-based, counted across writes, fsyncs, segment creates and renames)
+/// performs `mode`; trigger_op == 0 counts without firing.
+/// `short_write_fraction` in [0, 1) picks how much of a write completes
+/// for the short-write modes (other ops degrade them to kKill / kError).
 /// Deterministic: the same (workload, trigger_op, mode, fraction) always
 /// faults at the same boundary.
 void arm_fault(std::uint64_t trigger_op, FaultMode mode, double short_write_fraction = 0.0);

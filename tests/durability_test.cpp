@@ -11,7 +11,8 @@
 //   2. a fork-based crash-injection harness: hundreds of randomized
 //      kill/short-write/EIO points at write/fsync/segment-roll
 //      boundaries, every recovery prefix-consistent with what the dead
-//      writer had committed;
+//      writer had committed, and a writer that hit an injected error
+//      refuses every later append and commit;
 //   3. client recovery: the lab ArtifactStore's fsynced tmp-then-rename
 //      commits (plan, checkpoints, manifests) resume to complete artifact
 //      sets (and bitwise-identical leaderboards) after kill -9, and a
@@ -106,11 +107,7 @@ std::vector<std::uint8_t> trial_payload(std::uint64_t seed, std::size_t index) {
 
 wal::WalOptions trial_options(std::uint64_t seed) {
   wal::WalOptions options;
-  switch (seed % 3) {
-    case 0: options.sync = wal::SyncLevel::kNone; break;
-    case 1: options.sync = wal::SyncLevel::kOnCommit; break;
-    default: options.sync = wal::SyncLevel::kOnRoll; break;
-  }
+  options.sync = seed % 2 == 0 ? wal::SyncLevel::kNone : wal::SyncLevel::kOnCommit;
   options.segment_bytes = 256;  // every trial rolls segments many times
   return options;
 }
@@ -199,9 +196,8 @@ TEST(WalCrc, KnownVectorAndChaining) {
 
 TEST(WalRoundTrip, RandomSizesBatchesAndReopenAcrossSyncLevels) {
   TempDir tmp("roundtrip");
-  for (const auto sync :
-       {wal::SyncLevel::kNone, wal::SyncLevel::kOnCommit, wal::SyncLevel::kOnRoll}) {
-    const std::string dir = tmp.dir(std::string("log_") + wal::sync_level_name(sync));
+  for (const auto sync : {wal::SyncLevel::kNone, wal::SyncLevel::kOnCommit}) {
+    const std::string dir = tmp.dir("log_" + std::to_string(static_cast<int>(sync)));
     wal::WalOptions options;
     options.sync = sync;
     options.segment_bytes = 256;  // force rotation
@@ -225,7 +221,9 @@ TEST(WalRoundTrip, RandomSizesBatchesAndReopenAcrossSyncLevels) {
           ASSERT_TRUE(writer.append(payload.data(), payload.size()));
         }
         expected.push_back(std::move(payload));
-        if (rng.uniform_int(0, 2) == 0) ASSERT_TRUE(writer.commit());
+        if (rng.uniform_int(0, 2) == 0) {
+          ASSERT_TRUE(writer.commit());
+        }
       }
       writer.close();
     }
@@ -246,7 +244,7 @@ TEST(WalRoundTrip, RandomSizesBatchesAndReopenAcrossSyncLevels) {
     std::string error;
     const auto recovered = recover_records(dir, &info, &ok, &error);
     ASSERT_TRUE(ok) << error;
-    ASSERT_EQ(recovered.size(), expected.size()) << wal::sync_level_name(sync);
+    ASSERT_EQ(recovered.size(), expected.size()) << "sync level " << static_cast<int>(sync);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(recovered[i], expected[i]) << "record " << i;
     }
@@ -534,6 +532,132 @@ TEST(WalFaults, InjectedWriteErrorsFailLoudlyAndRecoverCommittedPrefix) {
     }
     fs::remove_all(w.dir);
   }
+}
+
+TEST(WalFaults, WriterStopsAtItsFirstFailedWrite) {
+  // Commit A, tear B halfway, then try C. A writer that rewrote its
+  // buffer after the torn bytes would report C committed, yet recovery
+  // truncates at the tear and drops it. B is torn in commit's flush, in
+  // append's stream of a record larger than the buffer (op 1 writes its
+  // header, op 2 its payload), or in the flush of a full buffer.
+  constexpr std::size_t kBuf = wal::kAppendBufferBytes;
+  struct Case {
+    std::vector<std::size_t> b_sizes;
+    std::uint64_t trigger;
+  };
+  for (const Case& cs : {Case{{40}, 1}, Case{{2 * kBuf}, 2}, Case{{kBuf / 2, kBuf / 2}, 1}}) {
+    const std::string tag = std::to_string(cs.b_sizes.size()) + "x" +
+                            std::to_string(cs.b_sizes[0]);
+    SCOPED_TRACE(tag);
+    TempDir tmp("stop_" + tag);
+    wal::WalOptions options;
+    options.sync = wal::SyncLevel::kNone;
+    const std::string a(40, 'A'), c(40, 'C');
+    {
+      wal::Writer writer;
+      ASSERT_TRUE(writer.open(tmp.dir("log"), options));
+      ASSERT_TRUE(writer.append(a.data(), a.size()) && writer.commit());
+      walt::arm_fault(cs.trigger, walt::FaultMode::kShortWriteError, 0.5);
+      std::string error;
+      bool ok = true;
+      for (const std::size_t size : cs.b_sizes) {
+        const std::string b(size, 'B');
+        ok = ok && writer.append(b.data(), b.size(), &error);
+      }
+      EXPECT_FALSE(ok && writer.commit(&error));
+      walt::disarm_fault();
+      EXPECT_NE(error.find("injected"), std::string::npos) << error;
+      EXPECT_FALSE(writer.is_open());
+      EXPECT_FALSE(writer.append(c.data(), c.size()));
+      EXPECT_FALSE(writer.commit());
+    }
+    wal::RecoveryInfo info;
+    bool ok = false;
+    auto recovered = recover_records(tmp.dir("log"), &info, &ok);
+    ASSERT_TRUE(ok);
+    ASSERT_EQ(recovered.size(), 1u);
+    EXPECT_EQ(std::string(recovered[0].begin(), recovered[0].end()), a);
+    EXPECT_TRUE(info.torn_tail);
+
+    // Reopening truncates the tear and continues the committed prefix.
+    {
+      wal::Writer writer;
+      ASSERT_TRUE(writer.open(tmp.dir("log"), options));
+      ASSERT_TRUE(writer.append(c.data(), c.size()) && writer.commit());
+    }
+    recovered = recover_records(tmp.dir("log"), &info, &ok);
+    ASSERT_TRUE(ok);
+    ASSERT_EQ(recovered.size(), 2u);
+    EXPECT_EQ(std::string(recovered[1].begin(), recovered[1].end()), c);
+    EXPECT_FALSE(info.torn_tail);
+  }
+}
+
+TEST(WalFaults, EveryCallAfterTheFirstFailureFailsAndCommittedRecordsRecover) {
+  TempDir tmp("latch");
+  util::Rng rng(0x1A7C4);
+  constexpr std::size_t kTrials = 48;
+  std::size_t failed_trials = 0;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const std::uint64_t seed = 3000 + trial;
+    Workload w;
+    w.seed = seed;
+    w.options = trial_options(seed);
+
+    w.dir = tmp.dir("calib_" + std::to_string(trial));
+    walt::arm_fault(0, walt::FaultMode::kNone);
+    ASSERT_EQ(run_workload(w, -1), w.records);
+    const std::uint64_t ops = walt::fault_ops_seen();
+    walt::disarm_fault();
+    ASSERT_GT(ops, 0u);
+    fs::remove_all(w.dir);
+
+    const auto trigger =
+        1 + static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(ops) - 1));
+    const auto mode =
+        trial % 2 ? walt::FaultMode::kShortWriteError : walt::FaultMode::kError;
+    w.dir = tmp.dir("latch_" + std::to_string(trial));
+    walt::arm_fault(trigger, mode, rng.uniform(0.0, 1.0));
+    // Unlike run_workload, keep calling past the first failure: every
+    // later append and commit must fail too.
+    std::uint64_t committed = 0;
+    bool failed = false;
+    {
+      wal::Writer writer;
+      failed = !writer.open(w.dir, w.options);
+      for (std::size_t i = 0; i < w.records; ++i) {
+        const auto payload = trial_payload(seed, i);
+        const bool appended = writer.append(payload.data(), payload.size());
+        EXPECT_TRUE(!failed || !appended) << "trial " << trial << " append " << i;
+        failed = failed || !appended;
+        if (i % 3 != 2 && i + 1 != w.records) continue;
+        const bool commit_ok = writer.commit();
+        EXPECT_TRUE(!failed || !commit_ok) << "trial " << trial << " commit " << i;
+        failed = failed || !commit_ok;
+        if (!failed) committed = i + 1;
+      }
+    }
+    walt::disarm_fault();
+    failed_trials += failed;
+
+    bool ok = false;
+    std::string error;
+    const auto recovered = recover_records(w.dir, nullptr, &ok, &error);
+    EXPECT_TRUE(ok) << error;
+    EXPECT_GE(recovered.size(), committed) << "trial " << trial << " trigger " << trigger;
+    EXPECT_LE(recovered.size(), w.records);
+    for (std::size_t i = 0; i < recovered.size() && !HasFailure(); ++i) {
+      EXPECT_EQ(recovered[i], trial_payload(seed, i)) << "trial " << trial << " record " << i;
+    }
+    if (HasFailure()) {
+      preserve_artifacts(w.dir, "latch_" + std::to_string(trial));
+      return;
+    }
+    fs::remove_all(w.dir);
+  }
+  // Triggers past the last commit land in close(), where no call observes
+  // them; most must land inside the loop for the trial to prove anything.
+  EXPECT_GE(failed_trials, kTrials / 2);
 }
 
 TEST(WalCrashHarness, RandomizedKillPointsRecoverPrefixConsistent) {
