@@ -35,7 +35,9 @@
 //   6. breach    — a deliberately unmeetable latency SLO over a slow stub
 //                  must transition pending->firing and auto-dump a
 //                  flight-recorder bundle that passes validate_bundle
-//                  (Chrome-trace + Prometheus-lint checks inside).
+//                  (Chrome-trace + Prometheus-lint checks inside) and
+//                  still holds the steady phase's request_complete
+//                  journey events.
 //
 // ISSUE 10 additions: the durability and pooled-token layers must not
 // disturb the steady-state contracts (both run on dedicated TTL-free
@@ -68,6 +70,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -506,10 +511,11 @@ int main(int argc, char** argv) {
   // ---- phase 6: forced SLO breach -> firing alert -> flight bundle -------
   // An unmeetable latency objective (sub-microsecond target) over a slow
   // stub must burn both windows, transition pending->firing, and the fire
-  // hook must dump a flight-recorder bundle that validates. The global
-  // trace ring's recording gate is CLOSED before breach traffic starts so
-  // the fire-time dump snapshots a frozen ring (the bundle still carries
-  // the steady phase's journey events).
+  // hook must dump a flight-recorder bundle that validates. Tracing is
+  // switched OFF (obs::set_enabled) before breach traffic starts, so the
+  // fire-time dump snapshots a frozen ring that still carries the steady
+  // phase's journey events; the latency histogram the SLO reads keeps
+  // counting either way.
   const std::string flight_dir = cli.get_string("flight_dir", "flight_soak");
   {
     obs::FlightRecorderConfig frc;
@@ -517,7 +523,7 @@ int main(int argc, char** argv) {
     frc.max_events = 2048;
     obs::flight_recorder().configure(frc);
   }
-  obs::global_trace().set_recording(false);
+  obs::set_enabled(false);
   std::uint64_t slo_fires = 0;
   bool bundle_valid = false;
   std::string bundle_error = "no bundle dumped";
@@ -567,14 +573,22 @@ int main(int argc, char** argv) {
       }
     }
   }
+  std::size_t bundle_journeys = 0;
   if (!newest_bundle.empty()) {
     bundle_valid = obs::FlightRecorder::validate_bundle(newest_bundle, &bundle_error);
+    std::ifstream in(std::filesystem::path(newest_bundle) / "trace.json");
+    const std::string trace{std::istreambuf_iterator<char>(in), {}};
+    const std::string needle = "\"cat\":\"request_complete\"";
+    for (auto at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + needle.size())) {
+      ++bundle_journeys;
+    }
   }
-  obs::global_trace().set_recording(true);
-  std::printf("breach      %llu fire(s), bundle %s (%s)\n\n",
+  obs::set_enabled(true);
+  std::printf("breach      %llu fire(s), bundle %s (%s), %zu request_complete events\n\n",
               static_cast<unsigned long long>(slo_fires),
               bundle_valid ? "valid" : "INVALID",
-              bundle_valid ? newest_bundle.c_str() : bundle_error.c_str());
+              bundle_valid ? newest_bundle.c_str() : bundle_error.c_str(), bundle_journeys);
 
   // ---- gates --------------------------------------------------------------
   bool ok = true;
@@ -598,6 +612,7 @@ int main(int argc, char** argv) {
        "bounded queue rejected the burst with backpressure");
   gate(slo_fires > 0, "forced latency breach transitioned the SLO to firing");
   gate(bundle_valid, "fire-time flight-recorder bundle validates");
+  gate(bundle_journeys > 0, "fire-time bundle carries the steady phase's journey events");
 
   bench::BenchJson json("serve_soak");
   json.add("params", "sessions=" + std::to_string(sessions) + ",hot=" + std::to_string(hot) +

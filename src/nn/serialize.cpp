@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 
 namespace mirage::nn {
 
@@ -73,25 +72,6 @@ bool deserialize_params(const std::vector<char>& bytes, const std::vector<Parame
     std::memcpy(p->value.data(), bytes.data() + offsets[i], p->value.size() * sizeof(float));
   }
   return true;
-}
-
-bool save_params(const std::vector<Parameter*>& params, const std::string& path) {
-  const auto buf = serialize_params(params);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  return static_cast<bool>(out);
-}
-
-bool load_params(const std::vector<Parameter*>& params, const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return false;
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<char> buf(size);
-  in.read(buf.data(), static_cast<std::streamsize>(size));
-  if (!in) return false;
-  return deserialize_params(buf, params);
 }
 
 }  // namespace mirage::nn

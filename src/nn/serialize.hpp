@@ -5,7 +5,6 @@
 // checkpoint can only be restored into the architecture that produced it.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -18,8 +17,5 @@ std::vector<char> serialize_params(const std::vector<Parameter*>& params);
 /// Restore values in place; returns false on any mismatch (nothing is
 /// partially applied on failure).
 bool deserialize_params(const std::vector<char>& bytes, const std::vector<Parameter*>& params);
-
-bool save_params(const std::vector<Parameter*>& params, const std::string& path);
-bool load_params(const std::vector<Parameter*>& params, const std::string& path);
 
 }  // namespace mirage::nn

@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -71,12 +70,6 @@ std::string build_info_text() {
   return out;
 }
 
-void fatal_signal_trampoline(int sig) {
-  detail::dump_on_fatal_signal(sig);
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
 }  // namespace
 
 void FlightRecorder::configure(FlightRecorderConfig config) {
@@ -118,14 +111,16 @@ std::string FlightRecorder::dump(const std::string& reason) {
   if (ec) return "";
 
   // snapshot() is safe against live traffic recording into the ring.
-  std::vector<TraceEvent> events = global_trace().snapshot();
+  // recorded() is read after it, so it counts every event the snapshot
+  // could have held: the difference is what the bundle lacks.
+  TraceTrack track{"flight", 0, global_trace().snapshot(), 0};
+  std::vector<TraceEvent>& events = track.events;
   if (events.size() > config_.max_events) {
     events.erase(events.begin(),
                  events.end() - static_cast<std::ptrdiff_t>(config_.max_events));
   }
-  TraceRing last_n(events.empty() ? 1 : events.size());
-  for (const auto& ev : events) last_n.record(ev);
-  const std::string trace_json = to_chrome_json({{"flight", 0, &last_n}});
+  track.dropped = global_trace().recorded() - events.size();
+  const std::string trace_json = to_chrome_json({track});
 
   std::vector<std::string> files;
   bool ok = true;
@@ -155,6 +150,7 @@ std::string FlightRecorder::dump(const std::string& reason) {
   std::snprintf(ts, sizeof(ts), "wall_seconds: %.6f\n", util::wall_seconds());
   manifest += ts;
   manifest += "trace_events: " + std::to_string(events.size()) + "\n";
+  manifest += "trace_dropped: " + std::to_string(track.dropped) + "\n";
   manifest += "files:\n";
   for (const auto& f : files) manifest += "  - " + f + "\n";
   ok = write_file(bundle_dir / "MANIFEST.txt", manifest) && ok;
@@ -193,6 +189,9 @@ bool FlightRecorder::validate_bundle(const std::string& bundle_dir, std::string*
   if (contents.find("reason: ") == std::string::npos) {
     return fail("MANIFEST.txt missing reason");
   }
+  if (contents.find("trace_dropped: ") == std::string::npos) {
+    return fail("MANIFEST.txt missing trace_dropped");
+  }
   if (!read_file(fs::path(bundle_dir) / "build.txt", &contents) || contents.empty()) {
     return fail("missing build.txt");
   }
@@ -210,27 +209,9 @@ bool FlightRecorder::validate_bundle(const std::string& bundle_dir, std::string*
   return true;
 }
 
-void FlightRecorder::install_signal_handlers() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (signals_installed_) return;
-  signals_installed_ = true;
-  for (const int sig : {SIGSEGV, SIGBUS, SIGABRT, SIGFPE, SIGILL}) {
-    std::signal(sig, fatal_signal_trampoline);
-  }
-}
-
 FlightRecorder& flight_recorder() {
   static FlightRecorder instance;
   return instance;
 }
-
-namespace detail {
-void dump_on_fatal_signal(int sig) {
-  // Best-effort crash dump: stop the trace gate first so the bundle is a
-  // frozen picture of the moments before the fault.
-  global_trace().set_recording(false);
-  flight_recorder().dump("signal_" + std::to_string(sig));
-}
-}  // namespace detail
 
 }  // namespace mirage::obs

@@ -1,30 +1,29 @@
 // Flight recorder (ISSUE 8 tentpole): dumps a postmortem diagnostic
 // bundle — the last-N wall-clock trace events as validated Chrome JSON,
 // the full metrics snapshot, and any registered provider documents
-// (health verdicts, serve metrics) — to a directory, on demand, when an
-// SLO starts firing, or on a fatal signal.
+// (health verdicts, serve metrics) — to a directory, on demand or when
+// an SLO starts firing.
 //
 // Bundle layout (one directory per dump, pruned to max_bundles):
 //
 //   <directory>/bundle_<seq>_<reason>/
-//     MANIFEST.txt     reason, sequence, wall time, file list
+//     MANIFEST.txt     reason, sequence, wall time, trace event counts,
+//                      file list
 //     trace.json       last max_events of obs::global_trace(), Chrome
 //                      trace-event format (passes validate_chrome_trace)
 //     metrics.prom     obs::registry().to_prometheus() snapshot
 //     build.txt        compiler / platform / build-mode provenance
 //     <provider files> e.g. health.txt, serve_metrics.prom
 //
-// Concurrency: dump() is serialized by a mutex and PAUSES the global
-// trace ring's recording while it snapshots (set_recording(false) gates
-// new events; callers who need a fully quiescent ring under TSan should
-// also stop traffic first — snapshot() documents the same caveat).
+// Lost events are reported, not hidden: MANIFEST's `trace_dropped: N`
+// and trace.json's "dropped_events" marker both count the events the
+// ring recorded that the bundle lacks (overwritten by the ring, trimmed
+// to max_events, or mid-write during the snapshot).
 //
-// Signal path: install_signal_handlers() hooks SIGSEGV/SIGBUS/SIGABRT/
-// SIGFPE/SIGILL to dump a "signal_<n>" bundle and then re-raise with the
-// default disposition so the crash still crashes. Dumping from a signal
-// handler is NOT async-signal-safe — it is a deliberate best-effort
-// last gasp on a path that was about to die anyway. Tests exercise the
-// dump body directly via detail::dump_on_fatal_signal() without raising.
+// Concurrency: dump() is serialized by a mutex and does not stop
+// recording. Traffic may keep recording while it runs: the ring's
+// seqlocked snapshot() returns only whole events. To freeze the ring
+// first, turn the trace hooks off with obs::set_enabled(false).
 #pragma once
 
 #include <cstddef>
@@ -66,13 +65,10 @@ class FlightRecorder {
 
   std::uint64_t dumps() const;
 
-  /// Validate a dumped bundle: MANIFEST.txt present, trace.json passes
-  /// validate_chrome_trace, metrics.prom passes
-  /// lint_prometheus_exposition, build.txt non-empty.
+  /// Validate a dumped bundle: MANIFEST.txt present with its reason and
+  /// trace_dropped lines, trace.json passes validate_chrome_trace,
+  /// metrics.prom passes lint_prometheus_exposition, build.txt non-empty.
   static bool validate_bundle(const std::string& bundle_dir, std::string* error = nullptr);
-
-  /// Hook fatal signals to dump a bundle and re-raise (idempotent).
-  void install_signal_handlers();
 
  private:
   void prune_locked();
@@ -82,16 +78,9 @@ class FlightRecorder {
   std::map<std::string, Provider> providers_;
   std::uint64_t seq_ = 0;
   std::uint64_t dumps_ = 0;
-  bool signals_installed_ = false;
 };
 
-/// Process-wide recorder (the SLO fire hook and signal handlers use it).
+/// Process-wide recorder (the SLO fire hook uses it).
 FlightRecorder& flight_recorder();
-
-namespace detail {
-/// Body of the fatal-signal hook: pause tracing, dump "signal_<n>".
-/// Exposed so tests can exercise the crash dump without crashing.
-void dump_on_fatal_signal(int sig);
-}  // namespace detail
 
 }  // namespace mirage::obs

@@ -6,6 +6,12 @@
 
 namespace mirage::obs {
 
+namespace {
+/// The alert condition: both windows burn the budget at least as fast as
+/// it accrues.
+constexpr double kBurnThreshold = 1.0;
+}  // namespace
+
 const char* alert_state_name(AlertState s) {
   switch (s) {
     case AlertState::kInactive: return "inactive";
@@ -150,8 +156,7 @@ std::size_t SloEngine::evaluate(double now_seconds) {
       }
     }
 
-    const bool condition = slo.burn_short >= slo.spec.burn_threshold &&
-                           slo.burn_long >= slo.spec.burn_threshold;
+    const bool condition = slo.burn_short >= kBurnThreshold && slo.burn_long >= kBurnThreshold;
     switch (slo.state) {
       case AlertState::kInactive:
       case AlertState::kResolved:

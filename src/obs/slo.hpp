@@ -3,9 +3,10 @@
 // target over a Histogram, or an error/reject-rate budget over a pair of
 // Counters — are evaluated over sliding windows with MULTI-WINDOW
 // BURN-RATE alerting (the SRE workbook recipe): an alert condition holds
-// only while BOTH the short and the long window burn faster than the
-// threshold, so a brief spike (short hot, long cold) and a stale incident
-// (long hot, short cold) both stay quiet.
+// only while BOTH the short and the long window burn at a rate of 1 or
+// more (spending the budget at least as fast as it accrues), so a brief
+// spike (short hot, long cold) and a stale incident (long hot, short
+// cold) both stay quiet.
 //
 // Burn rate is unified across SLO kinds by reducing each to a bad/total
 // event ratio against an error budget:
@@ -82,7 +83,6 @@ struct SloSpec {
   // --- windows + alerting
   double short_window_seconds = 60.0;
   double long_window_seconds = 300.0;
-  double burn_threshold = 1.0;     ///< fire when BOTH windows burn >= this
   double pending_seconds = 0.0;    ///< `for`: condition must hold this long
   double resolve_seconds = 60.0;   ///< clear hold-down before resolved
 };

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 namespace mirage::obs {
 
@@ -121,39 +120,21 @@ std::string to_chrome_json(const std::vector<TraceTrack>& tracks) {
     out += ",\"tid\":0,\"args\":{\"name\":\"";
     append_json_escaped(out, track.label.c_str());
     out += "\"}}";
-    if (!track.ring) continue;
-    for (const auto& ev : track.ring->snapshot()) {
+    for (const auto& ev : track.events) {
       out += ',';
       append_event_json(out, ev, track.pid);
     }
-    if (const std::uint64_t drops = track.ring->dropped()) {
+    if (track.dropped != 0) {
       out += ",{\"name\":\"dropped_events\",\"cat\":\"meta\",\"ph\":\"i\",\"s\":\"t\","
              "\"ts\":0,\"pid\":";
       out += std::to_string(track.pid);
       out += ",\"tid\":0,\"args\":{\"arg0\":";
-      out += std::to_string(drops);
+      out += std::to_string(track.dropped);
       out += ",\"arg1\":0}}";
     }
   }
   out += "]}\n";
   return out;
-}
-
-std::string to_trace_csv(const std::vector<TraceTrack>& tracks) {
-  std::ostringstream out;
-  out << "track,pid,tid,kind,name,ts,dur,arg0,arg1\n";
-  for (const auto& track : tracks) {
-    if (!track.ring) continue;
-    for (const auto& ev : track.ring->snapshot()) {
-      // Track labels and event names never contain commas or quotes (cell
-      // names are slash-separated, event names are identifiers).
-      out << track.label << ',' << track.pid << ',' << ev.tid << ','
-          << trace_event_kind_name(ev.kind) << ','
-          << (ev.name[0] ? ev.name : trace_event_kind_name(ev.kind)) << ',' << ev.ts << ','
-          << ev.dur << ',' << ev.arg0 << ',' << ev.arg1 << '\n';
-    }
-  }
-  return out.str();
 }
 
 // ------------------------------------------------------- trace validation

@@ -1,5 +1,5 @@
 // Structured event tracing (ISSUE 6 tentpole): ring-buffered trace events
-// with Chrome trace-event (chrome://tracing / Perfetto) and CSV exporters.
+// with a Chrome trace-event (chrome://tracing / Perfetto) exporter.
 //
 // Two timestamp domains, never mixed in one ring:
 //
@@ -85,13 +85,7 @@ class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity = 1 << 14);
 
-  /// Drop-in recording gate: rings can be individually disabled (a
-  /// disabled ring records nothing; hooks stay wired).
-  void set_recording(bool on) { recording_.store(on, std::memory_order_relaxed); }
-  bool recording() const { return recording_.load(std::memory_order_relaxed); }
-
   void record(const TraceEvent& ev) {
-    if (!recording()) return;
     const std::uint64_t ticket = cursor_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[static_cast<std::size_t>(ticket % slots_.size())];
     std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
@@ -135,27 +129,26 @@ class TraceRing {
 
   std::vector<Slot> slots_;
   std::atomic<std::uint64_t> cursor_{0};
-  std::atomic<bool> recording_{true};
 };
 
 /// Process-wide wall-clock profiling ring (OBS_SPAN + serve events).
 /// Recording obeys obs::enabled() at the hook sites.
 TraceRing& global_trace();
 
-/// One named export track: a ring plus the label and pid its events render
-/// under ("cell 3: a100/u0.95/d8/outage" with pid=3).
+/// One named export track: events plus the label and pid they render under
+/// ("cell 3: a100/u0.95/d8/outage" with pid=3). `dropped` counts events the
+/// track lacks (ring overwrites, trimming); nonzero exports a
+/// "dropped_events" marker.
 struct TraceTrack {
   std::string label;
   std::uint32_t pid = 0;
-  const TraceRing* ring = nullptr;
+  std::vector<TraceEvent> events;
+  std::uint64_t dropped = 0;
 };
 
 /// Chrome trace-event JSON ({"traceEvents":[...],"displayTimeUnit":"ms"}).
-/// Deterministic: output depends only on ring contents and track order.
+/// Deterministic: output depends only on the tracks and their order.
 std::string to_chrome_json(const std::vector<TraceTrack>& tracks);
-
-/// Flat CSV (track,pid,tid,kind,name,ts,dur,arg0,arg1), same ordering.
-std::string to_trace_csv(const std::vector<TraceTrack>& tracks);
 
 /// Minimal structural validation of an exported Chrome trace: JSON parses
 /// (objects/arrays/strings/numbers/bools/null), top level is an object

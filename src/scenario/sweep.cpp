@@ -113,7 +113,8 @@ std::vector<obs::TraceTrack> SweepTrace::tracks() const {
   std::vector<obs::TraceTrack> out;
   out.reserve(rings_.size());
   for (std::size_t i = 0; i < rings_.size(); ++i) {
-    out.push_back(obs::TraceTrack{labels_[i], static_cast<std::uint32_t>(i), rings_[i].get()});
+    out.push_back(obs::TraceTrack{labels_[i], static_cast<std::uint32_t>(i),
+                                  rings_[i]->snapshot(), rings_[i]->dropped()});
   }
   return out;
 }

@@ -88,10 +88,9 @@ class SweepTrace {
   obs::TraceRing* ring(std::size_t i) { return rings_[i].get(); }
   const obs::TraceRing* ring(std::size_t i) const { return rings_[i].get(); }
 
-  /// Export tracks in expansion order. The rings stay owned by this object.
+  /// Export tracks (each ring's snapshot) in expansion order.
   std::vector<obs::TraceTrack> tracks() const;
   std::string to_chrome_json() const { return obs::to_chrome_json(tracks()); }
-  std::string to_csv() const { return obs::to_trace_csv(tracks()); }
 
   /// Total events recorded across all cells (incl. overwritten ones).
   std::uint64_t total_events() const;

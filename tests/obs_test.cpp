@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -429,16 +431,6 @@ TEST(Trace, RingOverwritesOldestAndCountsDrops) {
   EXPECT_TRUE(ring.snapshot().empty());
 }
 
-TEST(Trace, DisabledRingRecordsNothing) {
-  TraceRing ring(8);
-  ring.set_recording(false);
-  ring.record(TraceEvent{});
-  EXPECT_EQ(ring.recorded(), 0u);
-  ring.set_recording(true);
-  ring.record(TraceEvent{});
-  EXPECT_EQ(ring.recorded(), 1u);
-}
-
 TEST(Trace, SnapshotDuringRecordsReturnsOnlyWholeEvents) {
   // A small ring wraps constantly, so snapshots keep meeting slots that a
   // recorder is rewriting. Every event returned must be one whole record.
@@ -496,8 +488,7 @@ TEST(Trace, ChromeJsonExportValidatesAndCoversEveryKind) {
     ev.arg1 = 2;
     ring.record(ev);
   }
-  const std::vector<TraceTrack> tracks = {{"cell 0: unit", 0, &ring}};
-  const std::string json = to_chrome_json(tracks);
+  const std::string json = to_chrome_json({{"cell 0: unit", 0, ring.snapshot(), ring.dropped()}});
   std::string error;
   EXPECT_TRUE(validate_chrome_trace(json, &error)) << error;
   // Slices export as complete events, instants as "i".
@@ -505,13 +496,11 @@ TEST(Trace, ChromeJsonExportValidatesAndCoversEveryKind) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("cell 0: unit"), std::string::npos);
-
-  const std::string csv = to_trace_csv(tracks);
-  EXPECT_NE(csv.find("track,pid,tid,kind,name,ts,dur,arg0,arg1"), std::string::npos);
   for (const auto kind : kinds) {
-    EXPECT_NE(csv.find(trace_event_kind_name(kind)), std::string::npos)
-        << trace_event_kind_name(kind);
+    const std::string cat = std::string("\"cat\":\"") + trace_event_kind_name(kind) + '"';
+    EXPECT_NE(json.find(cat), std::string::npos) << cat;
   }
+  EXPECT_EQ(json.find("dropped_events"), std::string::npos);  // nothing overwritten
 }
 
 TEST(Trace, ValidatorRejectsMalformedDocuments) {
@@ -601,7 +590,6 @@ TEST(Slo, ErrorRateStateMachineWalksPendingFiringResolvedInactive) {
   spec.budget = 0.1;
   spec.short_window_seconds = 10.0;
   spec.long_window_seconds = 30.0;
-  spec.burn_threshold = 1.0;
   spec.pending_seconds = 10.0;
   spec.resolve_seconds = 10.0;
   engine.add(spec);
@@ -751,6 +739,9 @@ class FlightDirGuard {
   explicit FlightDirGuard(const char* leaf)
       : dir_(std::filesystem::temp_directory_path() / leaf) {
     std::filesystem::remove_all(dir_);
+    // A bundle's metrics.prom must carry a sample to validate; register
+    // one so each test stands alone, not only after suites that do.
+    registry().counter("mirage_obs_test_flight_total");
   }
   ~FlightDirGuard() {
     std::error_code ec;
@@ -832,28 +823,54 @@ TEST(FlightRecorder, ValidateBundleRejectsMissingOrCorruptPieces) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(FlightRecorder, FatalSignalPathDumpsASignalBundle) {
-  FlightDirGuard guard("mirage_obs_flight_signal");
+TEST(FlightRecorder, BundleReportsTheTraceEventsItLacks) {
+  // Events the ring overwrote and events trimmed to max_events are both
+  // missing from trace.json; the bundle must say how many, in the
+  // MANIFEST and as the Chrome trace's dropped_events marker.
+  FlightDirGuard guard("mirage_obs_flight_dropped");
   auto& fr = flight_recorder();
-  FlightRecorderConfig cfg;
-  cfg.directory = guard.dir().string();
-  fr.configure(cfg);
+  const auto dump_after = [&](std::size_t records, std::size_t max_events) {
+    FlightRecorderConfig cfg;
+    cfg.directory = guard.dir().string();
+    cfg.max_events = max_events;
+    fr.configure(cfg);
+    global_trace().clear();
+    for (std::size_t i = 0; i < records; ++i) global_trace().record(TraceEvent{});
+    const std::string bundle = fr.dump("dropped");
+    std::string error;
+    EXPECT_TRUE(FlightRecorder::validate_bundle(bundle, &error)) << error;
+    const auto slurp = [&](const char* leaf) {
+      std::ifstream in(std::filesystem::path(bundle) / leaf);
+      return std::string((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    };
+    return std::make_pair(slurp("MANIFEST.txt"), slurp("trace.json"));
+  };
+  const auto marker = [](const std::string& json) -> std::string {
+    const auto at = json.find("\"dropped_events\"");
+    if (at == std::string::npos) return "none";
+    const auto arg0 = json.find("\"arg0\":", at) + 7;
+    return json.substr(arg0, json.find(',', arg0) - arg0);
+  };
 
-  detail::dump_on_fatal_signal(6);  // dump body only; nothing is raised
+  auto [manifest, json] = dump_after(10, 4096);  // everything fits
+  EXPECT_NE(manifest.find("trace_events: 10\n"), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find("trace_dropped: 0\n"), std::string::npos) << manifest;
+  EXPECT_EQ(marker(json), "none");
 
-  bool found = false;
-  for (const auto& e : std::filesystem::directory_iterator(guard.dir())) {
-    if (e.path().filename().string().find("signal_6") != std::string::npos) {
-      found = true;
-      std::string error;
-      EXPECT_TRUE(FlightRecorder::validate_bundle(e.path().string(), &error)) << error;
-    }
-  }
-  EXPECT_TRUE(found);
-  // The crash path deliberately freezes the ring (the process was dying);
-  // restore the gate for the suites sharing this process.
-  EXPECT_FALSE(global_trace().recording());
-  global_trace().set_recording(true);
+  std::tie(manifest, json) = dump_after(100, 10);  // trimmed to max_events
+  EXPECT_NE(manifest.find("trace_events: 10\n"), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find("trace_dropped: 90\n"), std::string::npos) << manifest;
+  EXPECT_EQ(marker(json), "90");
+
+  // The ring wrapped (1000 overwrites) and the rest was trimmed to 4096.
+  const std::size_t records = global_trace().capacity() + 1000;
+  const std::string lacking = std::to_string(records - 4096);
+  std::tie(manifest, json) = dump_after(records, 4096);
+  EXPECT_NE(manifest.find("trace_events: 4096\n"), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find("trace_dropped: " + lacking + "\n"), std::string::npos) << manifest;
+  EXPECT_EQ(marker(json), lacking);
+  global_trace().clear();
 }
 
 // ---------------------------------- tracing cannot perturb sweep results
@@ -911,7 +928,6 @@ TEST(SweepTracing, ParallelTraceBytesMatchSerialAndValidate) {
   // exported bytes are independent of the thread count.
   const std::string serial_json = serial_trace.to_chrome_json();
   EXPECT_EQ(serial_json, parallel_trace.to_chrome_json());
-  EXPECT_EQ(serial_trace.to_csv(), parallel_trace.to_csv());
 
   std::string error;
   EXPECT_TRUE(validate_chrome_trace(serial_json, &error)) << error;

@@ -1170,6 +1170,39 @@ TEST(ProvisioningService, RequestJourneysLinkTraceEventsAndExemplars) {
       << "exemplar id " << ex.id << " is not a traced request";
 }
 
+TEST(ProvisioningService, ObsOffServesWithoutTracingButKeepsLatency) {
+  // obs::set_enabled(false) is the one recording switch: served decisions
+  // leave the wall-clock ring untouched, while the decision-latency
+  // histogram (what latency SLOs read) still counts every one.
+  TempDir dir("obsoff");
+  auto agent = make_dqn(104);
+  ASSERT_TRUE(core::save_agent(agent, dir.file("v100__dqn.ckpt")));
+  ModelRegistry registry(test_registry_config());
+  ASSERT_TRUE(registry.load_file(dir.file("v100__dqn.ckpt"), "v100").ok);
+
+  struct ObsOn {
+    ~ObsOn() { obs::set_enabled(true); }
+  } restore;
+  obs::set_enabled(false);
+  decision_latency_histogram().reset();
+  const std::uint64_t recorded_before = obs::global_trace().recorded();
+
+  ServiceConfig cfg;
+  cfg.history_len = test_net().history_len;
+  ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
+  service.start();
+  const SessionId id = service.open_session();
+  for (std::size_t t = 0; t < 20; ++t) {
+    service.observe(id, make_sample(0, t), make_ctx(0));
+    service.decide(id);
+  }
+  service.drain_and_stop();
+
+  EXPECT_EQ(obs::global_trace().recorded(), recorded_before);
+  EXPECT_EQ(decision_latency_histogram().count(), 20u);
+  EXPECT_FALSE(decision_latency_histogram().exemplar_for_percentile(99.9).valid);
+}
+
 TEST(ProvisioningService, SloBreachFiresHealthEndpointAndFlightBundle) {
   TempDir dir("slofire");
   TempDir flight_dir("slofire_bundles");
